@@ -1,8 +1,8 @@
 //! The parallel prepared-workload engine.
 //!
-//! Every experiment binary needs the same prepared state: each workload
-//! compiled, traced, and encoded under each scheme. Before this engine
-//! existed, every binary recomputed all of it serially; now preparation
+//! Every figure needs the same prepared state: each workload compiled,
+//! traced, and encoded under each scheme. Before this engine existed,
+//! every figure recomputed all of it serially; now preparation
 //! fans out across cores through a work-stealing pool ([`pool`]) and
 //! each artifact is persisted in a content-addressed cache ([`cache`]),
 //! so a warm run skips compile/emulate/encode entirely.
@@ -49,10 +49,7 @@ use crate::Prepared;
 use cache::{ArtifactCache, CacheKey, Lookup};
 use ccc_core::failpoint::{sites, Failpoints};
 use ccc_core::schemes::base::encode_base;
-use ccc_core::schemes::{
-    base::BaseScheme, byte::ByteScheme, full::FullScheme, stream::StreamScheme,
-    tailored::TailoredScheme, CompressError, Scheme,
-};
+use ccc_core::schemes::CompressError;
 use ccc_core::{CompressionReport, EncodedProgram, RetryPolicy, CODEC_VERSION};
 use ccc_telemetry::{Clock, MonotonicClock, SharedSink, Sleeper, ThreadSleeper, TraceEvent};
 use pool::JobPanic;
@@ -71,19 +68,9 @@ use yula::{BlockTrace, Emulator, Limits, TRACE_WIRE_VERSION};
 /// Bump to invalidate every artifact at once.
 pub const ENGINE_SCHEMA_VERSION: u32 = 1;
 
-/// The scheme axis of the preparation matrix, in figure order.
-pub const MATRIX_SCHEMES: [&str; 5] = ["byte", "stream", "stream_1", "full", "tailored"];
-
-/// Instantiates a scheme by its figure name (including `base`).
-pub fn scheme_by_name(name: &str) -> Option<Box<dyn Scheme>> {
-    match name {
-        "base" => Some(Box::new(BaseScheme)),
-        "byte" => Some(Box::new(ByteScheme::default())),
-        "full" => Some(Box::new(FullScheme::default())),
-        "tailored" => Some(Box::new(TailoredScheme)),
-        other => StreamScheme::named(other).map(|s| Box::new(s) as Box<dyn Scheme>),
-    }
-}
+/// The scheme axis of the preparation matrix, in figure order, and the
+/// by-name constructor; both live in [`ccc_core::schemes`].
+pub use ccc_core::schemes::{by_name as scheme_by_name, MATRIX as MATRIX_SCHEMES};
 
 /// Why one workload failed to prepare.
 #[derive(Debug)]
@@ -1512,15 +1499,6 @@ mod tests {
         let path = forest.critical_path();
         assert!(!path.is_empty());
         assert_eq!(path[0].parent, 0);
-    }
-
-    #[test]
-    fn scheme_registry_matches_matrix() {
-        for s in MATRIX_SCHEMES {
-            assert!(scheme_by_name(s).is_some(), "{s} missing");
-        }
-        assert!(scheme_by_name("base").is_some());
-        assert!(scheme_by_name("no-such-scheme").is_none());
     }
 
     #[test]

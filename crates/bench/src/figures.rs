@@ -1,17 +1,18 @@
-//! Pure renderers for every table/figure of the paper.
+//! Pure renderers for every table/figure of the paper, and the
+//! [`FIGURES`] table that names them.
 //!
 //! Each function takes already-prepared data (see [`crate::engine`]) and
 //! returns the finished text — no compiling, emulating or encoding
 //! happens here, so one engine invocation feeds the entire figure suite
 //! and the golden-snapshot tests diff exact strings.
 
-use crate::engine::scheme_by_name;
+use crate::engine::{scheme_by_name, MATRIX_SCHEMES};
 use crate::{cache_study, cache_study_scaled, geomean, mean, median, render_table, Prepared};
 use ccc_core::encoded::DecoderCost;
 use ccc_core::fault::{run_campaign, CampaignConfig, Tally};
 use ccc_core::schemes::stream::{StreamConfig, StreamScheme};
 use ccc_core::schemes::{pair::PairScheme, Scheme, SchemeOutput};
-use ccc_core::CompressionReport;
+use ccc_core::{CompressionReport, EncodedProgram};
 use ifetch_sim::{
     simulate, simulate_with_units, EncodingClass, FetchConfig, FetchUnits, PredictorKind,
 };
@@ -20,8 +21,130 @@ use std::fmt::Write as _;
 use tinker_huffman::{entropy_bits, Dictionary};
 use yula::{Emulator, Limits, OpCategory, OpMix, TraceStats};
 
-/// The scheme columns of Figures 5, 7 and 10, in figure order.
-const FIG_SCHEMES: [&str; 5] = ["byte", "stream", "stream_1", "full", "tailored"];
+/// One entry of the figure suite.
+pub struct Figure {
+    /// The name `tepic-cc bench --figures` selects it by.
+    pub name: &'static str,
+    /// The committed snapshot is `results/<stem>.txt`.
+    pub stem: &'static str,
+    /// Part of the paper's core set (the default of `tepic-cc bench`);
+    /// extensions render only when named or with `--all`.
+    pub core: bool,
+    /// Renders the figure from the prepared suite and its reports.
+    pub render: fn(&[Prepared], &[CompressionReport]) -> String,
+}
+
+/// The fault campaign of `results/ext_fault_campaign.txt`.
+const CAMPAIGN: CampaignConfig = CampaignConfig {
+    seed: 42,
+    faults_per_target: 100,
+};
+
+/// Every table and figure, in `--all` order: the core set first, then
+/// the extensions.
+pub static FIGURES: [Figure; 16] = [
+    Figure {
+        name: "table1",
+        stem: "table1_penalties",
+        core: true,
+        render: |_, _| table1(),
+    },
+    Figure {
+        name: "table2",
+        stem: "table2_formats",
+        core: true,
+        render: |_, _| table2(),
+    },
+    Figure {
+        name: "fig05",
+        stem: "fig05_compression",
+        core: true,
+        render: |_, reports| fig05(reports),
+    },
+    Figure {
+        name: "fig07",
+        stem: "fig07_att_size",
+        core: true,
+        render: |prepared, reports| fig07(reports, prepared),
+    },
+    Figure {
+        name: "fig10",
+        stem: "fig10_decoder",
+        core: true,
+        render: |_, reports| fig10(reports),
+    },
+    Figure {
+        name: "fig13",
+        stem: "fig13_cache_study",
+        core: true,
+        render: |prepared, _| fig13(prepared),
+    },
+    Figure {
+        name: "fig14",
+        stem: "fig14_bus_power",
+        core: true,
+        render: |prepared, _| fig14(prepared),
+    },
+    Figure {
+        name: "diag",
+        stem: "diag",
+        core: true,
+        render: |prepared, _| diag(prepared),
+    },
+    Figure {
+        name: "ablations",
+        stem: "ablations",
+        core: false,
+        render: |prepared, _| ablations(prepared),
+    },
+    Figure {
+        name: "sweep_cache",
+        stem: "sweep_cache",
+        core: false,
+        render: |prepared, _| sweep_cache(prepared),
+    },
+    Figure {
+        name: "stream_explorer",
+        stem: "stream_explorer",
+        core: false,
+        render: |prepared, _| stream_explorer(prepared),
+    },
+    Figure {
+        name: "ext_complex_units",
+        stem: "ext_complex_units",
+        core: false,
+        render: |prepared, _| ext_complex_units(prepared),
+    },
+    Figure {
+        name: "ext_entropy_limit",
+        stem: "ext_entropy_limit",
+        core: false,
+        render: |prepared, _| ext_entropy_limit(prepared),
+    },
+    Figure {
+        name: "ext_fault_campaign",
+        stem: "ext_fault_campaign",
+        core: false,
+        render: |prepared, _| ext_fault_campaign(prepared, &CAMPAIGN),
+    },
+    Figure {
+        name: "ext_gshare",
+        stem: "ext_gshare",
+        core: false,
+        render: |prepared, _| ext_gshare(prepared),
+    },
+    Figure {
+        name: "ext_tail_duplication",
+        stem: "ext_tail_duplication",
+        core: false,
+        render: |prepared, _| ext_tail_duplication(prepared),
+    },
+];
+
+/// The [`FIGURES`] entry called `name`.
+pub fn figure(name: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.name == name)
+}
 
 /// Table 1 — the cycle-count assumptions of the cache study.
 pub fn table1() -> String {
@@ -38,10 +161,10 @@ pub fn table2() -> String {
 pub fn fig05(reports: &[CompressionReport]) -> String {
     let mut out = String::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); FIG_SCHEMES.len()];
+    let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); MATRIX_SCHEMES.len()];
     for rep in reports {
         let mut row = vec![rep.name.clone(), format!("{}", rep.original_bytes)];
-        for (i, s) in FIG_SCHEMES.iter().enumerate() {
+        for (i, s) in MATRIX_SCHEMES.iter().enumerate() {
             let r = rep.row(s).expect("scheme present");
             per_scheme[i].push(r.code_ratio);
             row.push(format!("{:.1}%", r.code_ratio * 100.0));
@@ -66,7 +189,7 @@ pub fn fig05(reports: &[CompressionReport]) -> String {
     .unwrap();
     let headers: Vec<&str> = std::iter::once("benchmark")
         .chain(std::iter::once("orig B"))
-        .chain(FIG_SCHEMES)
+        .chain(MATRIX_SCHEMES)
         .collect();
     out.push_str(&render_table(&headers, &rows));
     writeln!(
@@ -82,11 +205,11 @@ pub fn fig05(reports: &[CompressionReport]) -> String {
 pub fn fig07(reports: &[CompressionReport], prepared: &[Prepared]) -> String {
     let mut out = String::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); FIG_SCHEMES.len()];
+    let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); MATRIX_SCHEMES.len()];
     let mut att_fracs: Vec<f64> = Vec::new();
     for rep in reports {
         let mut row = vec![rep.name.clone()];
-        for (i, s) in FIG_SCHEMES.iter().enumerate() {
+        for (i, s) in MATRIX_SCHEMES.iter().enumerate() {
             let r = rep.row(s).expect("scheme present");
             per_scheme[i].push(r.total_ratio);
             att_fracs.push(r.att_bytes as f64 / r.code_bytes as f64);
@@ -105,7 +228,7 @@ pub fn fig07(reports: &[CompressionReport], prepared: &[Prepared]) -> String {
         "Figure 7. ATB characteristics / total code size (code + compressed ATT, % of original).\n"
     )
     .unwrap();
-    let headers: Vec<&str> = std::iter::once("benchmark").chain(FIG_SCHEMES).collect();
+    let headers: Vec<&str> = std::iter::once("benchmark").chain(MATRIX_SCHEMES).collect();
     out.push_str(&render_table(&headers, &rows));
     writeln!(
         out,
@@ -135,10 +258,10 @@ pub fn fig07(reports: &[CompressionReport], prepared: &[Prepared]) -> String {
 pub fn fig10(reports: &[CompressionReport]) -> String {
     let mut out = String::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); FIG_SCHEMES.len()];
+    let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); MATRIX_SCHEMES.len()];
     for rep in reports {
         let mut row = vec![rep.name.clone()];
-        for (i, s) in FIG_SCHEMES.iter().enumerate() {
+        for (i, s) in MATRIX_SCHEMES.iter().enumerate() {
             let r = rep.row(s).expect("scheme present");
             per_scheme[i].push(r.decoder_transistors as f64);
             row.push(group_digits(r.decoder_transistors));
@@ -162,7 +285,7 @@ pub fn fig10(reports: &[CompressionReport]) -> String {
         "tailored: two-plane PLA over the dense (OPT,OPCODE) selector.\n"
     )
     .unwrap();
-    let headers: Vec<&str> = std::iter::once("benchmark").chain(FIG_SCHEMES).collect();
+    let headers: Vec<&str> = std::iter::once("benchmark").chain(MATRIX_SCHEMES).collect();
     out.push_str(&render_table(&headers, &rows));
     writeln!(
         out,
@@ -379,23 +502,14 @@ pub fn fig14(prepared: &[Prepared]) -> String {
     let mut r2_comp = Vec::new();
     for p in prepared {
         let cap = (p.base_img.total_bytes() / 12).max(240);
-        let mk = |mut cfg: FetchConfig| {
+        let run = |img: &EncodedProgram| {
+            let mut cfg = FetchConfig::of_class(EncodingClass::of(&img.kind));
             cfg.cache.capacity = cap;
-            cfg
+            simulate(&p.program, img, &p.trace, &cfg)
         };
-        let base = simulate(&p.program, &p.base_img, &p.trace, &mk(FetchConfig::base()));
-        let comp = simulate(
-            &p.program,
-            &p.compressed_img,
-            &p.trace,
-            &mk(FetchConfig::compressed()),
-        );
-        let tail = simulate(
-            &p.program,
-            &p.tailored_img,
-            &p.trace,
-            &mk(FetchConfig::tailored()),
-        );
+        let base = run(&p.base_img);
+        let comp = run(&p.compressed_img);
+        let tail = run(&p.tailored_img);
         let b = base.bus_bit_flips.max(1) as f64;
         r2_comp.push(comp.bus_bit_flips as f64 / b);
         r2_tail.push(tail.bus_bit_flips as f64 / b);
@@ -1052,23 +1166,18 @@ pub fn ext_gshare(prepared: &[Prepared]) -> String {
     let mut tail_gain = Vec::new();
     for p in prepared {
         let code = p.base_img.total_bytes();
-        let run = |class: EncodingClass, predictor: PredictorKind| {
-            let mut cfg = FetchConfig::scaled(class, code);
+        let run = |img: &EncodedProgram, predictor: PredictorKind| {
+            let mut cfg = FetchConfig::scaled(EncodingClass::of(&img.kind), code);
             cfg.predictor = predictor;
-            let img = match class {
-                EncodingClass::Tailored => &p.tailored_img,
-                EncodingClass::Compressed => &p.compressed_img,
-                _ => &p.base_img,
-            };
             simulate(&p.program, img, &p.trace, &cfg)
         };
         let g = PredictorKind::Gshare { history_bits: 12 };
-        let b2 = run(EncodingClass::Base, PredictorKind::AtbTwoBit);
-        let bg = run(EncodingClass::Base, g);
-        let t2 = run(EncodingClass::Tailored, PredictorKind::AtbTwoBit);
-        let tg = run(EncodingClass::Tailored, g);
-        let c2 = run(EncodingClass::Compressed, PredictorKind::AtbTwoBit);
-        let cg = run(EncodingClass::Compressed, g);
+        let b2 = run(&p.base_img, PredictorKind::AtbTwoBit);
+        let bg = run(&p.base_img, g);
+        let t2 = run(&p.tailored_img, PredictorKind::AtbTwoBit);
+        let tg = run(&p.tailored_img, g);
+        let c2 = run(&p.compressed_img, PredictorKind::AtbTwoBit);
+        let cg = run(&p.compressed_img, g);
         base_gain.push(bg.ipc() / b2.ipc() - 1.0);
         tail_gain.push(tg.ipc() / t2.ipc() - 1.0);
         rows.push(vec![

@@ -1,7 +1,7 @@
 //! Run-ledger glue and the regression sentinel.
 //!
-//! Record construction: every `tepic-cc` subcommand and bench binary
-//! calls [`engine_record`] / [`base_record`] at exit and hands the
+//! Record construction: every `tepic-cc` subcommand calls
+//! [`engine_record`] / [`base_record`] at exit and hands the
 //! result to [`append_best_effort`], which honors `CCC_LEDGER` /
 //! `CCC_NO_LEDGER` and never fails the run over a ledger problem.
 //!
@@ -33,8 +33,8 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// The `--features` half of the ledger fingerprint for this build of
-/// the bench crate. Root-crate features propagate here, so this agrees
-/// with what the CLI reports.
+/// the bench crate (root-crate features propagate here): ledger
+/// baselines from a simd build must not gate a baseline build.
 pub fn build_features() -> &'static str {
     if cfg!(feature = "simd") {
         "simd"

@@ -1,18 +1,22 @@
 //! # ccc-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §3 for the
-//! index):
+//! Every table and figure of the paper is one entry of
+//! [`figures::FIGURES`] (see DESIGN.md §3 for the index), rendered by
+//! `tepic-cc bench --figures <name> > results/<stem>.txt`:
 //!
-//! | binary | reproduces |
-//! |---|---|
-//! | `fig05_compression` | Figure 5 — code size per scheme |
-//! | `fig07_att_size` | Figure 7 — ATB characteristics / total size with ATT |
-//! | `fig10_decoder` | Figure 10 — Huffman decoder complexity |
-//! | `fig13_cache_study` | Figure 13 — IPC per encoding per benchmark |
-//! | `fig14_bus_power` | Figure 14 — memory-bus bit flips |
-//! | `table1_penalties` | Table 1 — cycle count assumptions |
-//! | `table2_formats` | Table 2 — TEPIC formats |
-//! | `diag` | workload inventory sanity |
+//! | name | stem | reproduces |
+//! |---|---|---|
+//! | `fig05` | `fig05_compression` | Figure 5 — code size per scheme |
+//! | `fig07` | `fig07_att_size` | Figure 7 — ATB characteristics / total size with ATT |
+//! | `fig10` | `fig10_decoder` | Figure 10 — Huffman decoder complexity |
+//! | `fig13` | `fig13_cache_study` | Figure 13 — IPC per encoding per benchmark |
+//! | `fig14` | `fig14_bus_power` | Figure 14 — memory-bus bit flips |
+//! | `table1` | `table1_penalties` | Table 1 — cycle count assumptions |
+//! | `table2` | `table2_formats` | Table 2 — TEPIC formats |
+//! | `diag` | `diag` | workload inventory sanity |
+//!
+//! The extension experiments (ablations, sweeps, §7 future work) are
+//! entries of the same table and render with `--all` or by name.
 //!
 //! This library holds the shared plumbing: the parallel prepared-
 //! workload [`engine`] (worker pool + content-addressed artifact cache),
@@ -24,7 +28,7 @@ pub mod history;
 pub mod serve;
 
 use ccc_core::EncodedProgram;
-use ifetch_sim::{simulate, FetchConfig, FetchResult};
+use ifetch_sim::{simulate, EncodingClass, FetchConfig, FetchResult};
 use tepic_isa::Program;
 use tinker_workloads::Workload;
 use yula::BlockTrace;
@@ -54,41 +58,27 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// The encoded image for a figure scheme name (including `base`).
+    /// The encoded image for a scheme name (including `base`), found by
+    /// each image's own [`ccc_core::SchemeKind`].
     pub fn image(&self, scheme: &str) -> Option<&EncodedProgram> {
-        match scheme {
-            "base" => Some(&self.base_img),
-            "byte" => Some(&self.byte_img),
-            "stream" => Some(&self.stream_img),
-            "stream_1" => Some(&self.stream1_img),
-            "full" => Some(&self.compressed_img),
-            "tailored" => Some(&self.tailored_img),
-            _ => None,
-        }
+        [
+            &self.base_img,
+            &self.byte_img,
+            &self.stream_img,
+            &self.stream1_img,
+            &self.compressed_img,
+            &self.tailored_img,
+        ]
+        .into_iter()
+        .find(|img| img.kind.name() == scheme)
     }
 
     /// The matrix images in figure order, named.
     pub fn images(&self) -> impl Iterator<Item = (&'static str, &EncodedProgram)> {
-        [
-            ("byte", &self.byte_img),
-            ("stream", &self.stream_img),
-            ("stream_1", &self.stream1_img),
-            ("full", &self.compressed_img),
-            ("tailored", &self.tailored_img),
-        ]
-        .into_iter()
+        engine::MATRIX_SCHEMES
+            .into_iter()
+            .map(|s| (s, self.image(s).expect("every matrix scheme is prepared")))
     }
-}
-
-/// Compiles, runs and encodes every workload through an engine
-/// configured from the environment (`CCC_JOBS`, `CCC_CACHE_DIR`,
-/// `CCC_NO_CACHE` — see [`engine::Engine::from_env`]).
-///
-/// # Errors
-///
-/// [`engine::PrepareErrors`] aggregating every workload that failed.
-pub fn prepare_all() -> Result<Vec<Prepared>, engine::PrepareErrors> {
-    engine::Engine::from_env().prepare_all()
 }
 
 /// The Figure-13 quartet for one prepared workload.
@@ -108,50 +98,27 @@ pub struct CacheStudy {
 /// almost no capacity pressure; use [`cache_study_scaled`] for the
 /// Figure-13 reproduction.
 pub fn cache_study(p: &Prepared) -> CacheStudy {
-    CacheStudy {
-        ideal: simulate(&p.program, &p.base_img, &p.trace, &FetchConfig::ideal()),
-        base: simulate(&p.program, &p.base_img, &p.trace, &FetchConfig::base()),
-        compressed: simulate(
-            &p.program,
-            &p.compressed_img,
-            &p.trace,
-            &FetchConfig::compressed(),
-        ),
-        tailored: simulate(
-            &p.program,
-            &p.tailored_img,
-            &p.trace,
-            &FetchConfig::tailored(),
-        ),
-    }
+    study(p, FetchConfig::of_class)
 }
 
 /// Runs the four fetch configurations with caches scaled to the
 /// workload's code size, preserving the paper's code:cache pressure
 /// (see [`FetchConfig::scaled`] and DESIGN.md section 4).
 pub fn cache_study_scaled(p: &Prepared) -> CacheStudy {
-    use ifetch_sim::EncodingClass as E;
     let code = p.base_img.total_bytes();
+    study(p, |class| FetchConfig::scaled(class, code))
+}
+
+/// The Figure-13 quartet under `config`; each image runs in the fetch
+/// class of its own scheme.
+fn study(p: &Prepared, config: impl Fn(EncodingClass) -> FetchConfig) -> CacheStudy {
+    let run = |img: &EncodedProgram, class| simulate(&p.program, img, &p.trace, &config(class));
+    let own = |img: &EncodedProgram| run(img, EncodingClass::of(&img.kind));
     CacheStudy {
-        ideal: simulate(&p.program, &p.base_img, &p.trace, &FetchConfig::ideal()),
-        base: simulate(
-            &p.program,
-            &p.base_img,
-            &p.trace,
-            &FetchConfig::scaled(E::Base, code),
-        ),
-        compressed: simulate(
-            &p.program,
-            &p.compressed_img,
-            &p.trace,
-            &FetchConfig::scaled(E::Compressed, code),
-        ),
-        tailored: simulate(
-            &p.program,
-            &p.tailored_img,
-            &p.trace,
-            &FetchConfig::scaled(E::Tailored, code),
-        ),
+        ideal: run(&p.base_img, EncodingClass::Ideal),
+        base: own(&p.base_img),
+        compressed: own(&p.compressed_img),
+        tailored: own(&p.tailored_img),
     }
 }
 

@@ -33,7 +33,8 @@ use ccc_core::schemes::BlockCodec;
 use ccc_core::{crc32, encoded_to_bytes, Failpoints};
 use ccc_telemetry::{json, MetricsRegistry};
 use ifetch_sim::{
-    simulate, simulate_decoded, simulate_decoded_injected, DecodeStats, FetchConfig, FetchResult,
+    simulate, simulate_decoded, simulate_decoded_injected, DecodeStats, EncodingClass, FetchConfig,
+    FetchResult,
 };
 use tepic_isa::wire::Fnv128;
 
@@ -533,38 +534,24 @@ fn execute_job(shared: &Arc<Shared>, req: &JobRequest) -> Result<String, WireErr
             let image = engine
                 .image(&req.name, &req.source, &opts, &req.scheme, &program)
                 .map_err(|e| WireError::new(ErrKind::CompressError, e.to_string()))?;
-            // Base and Tailored fetch re-laid-out words directly — no
-            // decoder on the hit path (mirrors the CLI's trace cmd).
-            let (result, dstats) = match req.scheme.as_str() {
-                "base" | "tailored" => {
-                    let cfg = if req.scheme == "base" {
-                        FetchConfig::base()
-                    } else {
-                        FetchConfig::tailored()
-                    };
-                    (
-                        simulate(&program, &image, &trace, &cfg),
-                        DecodeStats::default(),
-                    )
+            // The image's fetch class picks the configuration and whether
+            // a codec rides the hit path (mirrors the CLI's trace cmd).
+            let class = EncodingClass::of(&image.kind);
+            let cfg = FetchConfig::of_class(class);
+            let (result, dstats) = if class.decodes_on_hit() {
+                let codec = memo_codec(shared, req, &program)?;
+                if req.op == JobOp::Faultsim {
+                    let fp = Failpoints::from_spec(FAULTSIM_SPEC, req.seed)
+                        .map_err(|e| WireError::new(ErrKind::Internal, e.to_string()))?;
+                    simulate_decoded_injected(&program, &image, &trace, &cfg, codec.as_ref(), &fp)
+                } else {
+                    simulate_decoded(&program, &image, &trace, &cfg, codec.as_ref())
                 }
-                scheme => {
-                    let codec = memo_codec(shared, req, scheme, &program)?;
-                    let cfg = FetchConfig::compressed();
-                    if req.op == JobOp::Faultsim {
-                        let fp = Failpoints::from_spec(FAULTSIM_SPEC, req.seed)
-                            .map_err(|e| WireError::new(ErrKind::Internal, e.to_string()))?;
-                        simulate_decoded_injected(
-                            &program,
-                            &image,
-                            &trace,
-                            &cfg,
-                            codec.as_ref(),
-                            &fp,
-                        )
-                    } else {
-                        simulate_decoded(&program, &image, &trace, &cfg, codec.as_ref())
-                    }
-                }
+            } else {
+                (
+                    simulate(&program, &image, &trace, &cfg),
+                    DecodeStats::default(),
+                )
             };
             dstats.record_metrics(&shared.registry);
             Ok(render_sim(req, &result, &dstats))
@@ -572,14 +559,14 @@ fn execute_job(shared: &Arc<Shared>, req: &JobRequest) -> Result<String, WireErr
     }
 }
 
-/// Looks up (or builds and memoizes) the decode codec for a
-/// (scheme, program) pair — the satellite-3 warm path.
+/// Looks up (or builds and memoizes) the decode codec for the request's
+/// (scheme, program) pair — the warm `simulate` path.
 fn memo_codec(
     shared: &Arc<Shared>,
     req: &JobRequest,
-    scheme: &str,
     program: &tepic_isa::Program,
 ) -> Result<Arc<dyn BlockCodec>, WireError> {
+    let scheme = &req.scheme;
     let mut h = Fnv128::new();
     h.update_str(scheme);
     h.update_str(&req.name);

@@ -24,15 +24,23 @@ pub enum SchemeKind {
     Tailored,
 }
 
+impl SchemeKind {
+    /// The scheme's figure name (`base`, `byte`, a stream configuration
+    /// name, `full`, `tailored`).
+    pub fn name(&self) -> &str {
+        match self {
+            SchemeKind::Base => "base",
+            SchemeKind::Byte => "byte",
+            SchemeKind::Stream(name) => name,
+            SchemeKind::Full => "full",
+            SchemeKind::Tailored => "tailored",
+        }
+    }
+}
+
 impl fmt::Display for SchemeKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SchemeKind::Base => write!(f, "base"),
-            SchemeKind::Byte => write!(f, "byte"),
-            SchemeKind::Stream(name) => write!(f, "{name}"),
-            SchemeKind::Full => write!(f, "full"),
-            SchemeKind::Tailored => write!(f, "tailored"),
-        }
+        f.write_str(self.name())
     }
 }
 

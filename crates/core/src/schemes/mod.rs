@@ -454,17 +454,31 @@ pub trait Scheme {
     fn compress(&self, program: &Program) -> Result<SchemeOutput, CompressError>;
 }
 
-/// The scheme line-up of the paper's Figure 5: byte-wise, the two best
-/// stream configurations (`stream` = smallest decoder, `stream_1` =
-/// smallest code), Full, and Tailored.
+/// The scheme line-up of the paper's Figure 5, in figure order:
+/// byte-wise, the two best stream configurations (`stream` = smallest
+/// decoder, `stream_1` = smallest code), Full, and Tailored. The
+/// figures, the compression report and the engine's preparation matrix
+/// enumerate schemes from this list.
+pub const MATRIX: [&str; 5] = ["byte", "stream", "stream_1", "full", "tailored"];
+
+/// Instantiates a scheme by its figure name: a [`MATRIX`] name, `base`,
+/// or any named [`stream::StreamConfig`].
+pub fn by_name(name: &str) -> Option<Box<dyn Scheme>> {
+    match name {
+        "base" => Some(Box::new(base::BaseScheme)),
+        "byte" => Some(Box::new(byte::ByteScheme::default())),
+        "full" => Some(Box::new(full::FullScheme::default())),
+        "tailored" => Some(Box::new(tailored::TailoredScheme)),
+        other => stream::StreamScheme::named(other).map(|s| Box::new(s) as Box<dyn Scheme>),
+    }
+}
+
+/// The [`MATRIX`] schemes, instantiated.
 pub fn standard_schemes() -> Vec<Box<dyn Scheme>> {
-    vec![
-        Box::new(byte::ByteScheme::default()),
-        Box::new(stream::StreamScheme::named("stream").expect("builtin config")),
-        Box::new(stream::StreamScheme::named("stream_1").expect("builtin config")),
-        Box::new(full::FullScheme::default()),
-        Box::new(tailored::TailoredScheme),
-    ]
+    MATRIX
+        .iter()
+        .map(|name| by_name(name).expect("matrix scheme"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -563,6 +577,14 @@ mod tests {
             names,
             vec!["byte", "stream", "stream_1", "full", "tailored"]
         );
+    }
+
+    #[test]
+    fn by_name_instantiates_every_named_scheme() {
+        for name in MATRIX.iter().chain(&["base"]) {
+            assert_eq!(by_name(name).map(|s| s.name()).as_deref(), Some(*name));
+        }
+        assert!(by_name("no-such-scheme").is_none());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::penalty::{Outcome, PenaltyTable};
 use crate::power::BusModel;
 use ccc_core::failpoint::{sites, Failpoints};
 use ccc_core::schemes::{BlockCodec, BlockDecodeError, BlockRequest};
-use ccc_core::{AddressTranslationTable, EncodedProgram};
+use ccc_core::{AddressTranslationTable, EncodedProgram, SchemeKind};
 use ccc_telemetry::{EventCounts, FetchEventKind, MetricsRegistry, TraceEvent, TraceSink};
 use tepic_isa::Program;
 use tinker_huffman::DecodeCounters;
@@ -29,6 +29,27 @@ pub enum EncodingClass {
     Compressed,
     /// Perfect cache and predictor: one MultiOp per cycle.
     Ideal,
+}
+
+impl EncodingClass {
+    /// The fetch organization an image of `kind` runs under: Base and
+    /// Tailored fetch their own words straight from the cache; every
+    /// Huffman scheme caches compressed code and decodes on the hit path.
+    pub fn of(kind: &SchemeKind) -> EncodingClass {
+        match kind {
+            SchemeKind::Base => EncodingClass::Base,
+            SchemeKind::Tailored => EncodingClass::Tailored,
+            SchemeKind::Byte | SchemeKind::Stream(_) | SchemeKind::Full => {
+                EncodingClass::Compressed
+            }
+        }
+    }
+
+    /// Whether a codec rides the hit path (only compressed code needs
+    /// a decoder between cache and issue).
+    pub fn decodes_on_hit(self) -> bool {
+        self == EncodingClass::Compressed
+    }
 }
 
 /// Which next-block predictor the ATB couples to.
@@ -112,6 +133,16 @@ impl FetchConfig {
         }
     }
 
+    /// The paper configuration of `class`.
+    pub fn of_class(class: EncodingClass) -> FetchConfig {
+        match class {
+            EncodingClass::Base => FetchConfig::base(),
+            EncodingClass::Tailored => FetchConfig::tailored(),
+            EncodingClass::Compressed => FetchConfig::compressed(),
+            EncodingClass::Ideal => FetchConfig::ideal(),
+        }
+    }
+
     /// Scaled variant preserving the paper's pressure ratios.
     ///
     /// The paper runs SPEC-class binaries (hundreds of KB) against 16KB
@@ -124,12 +155,10 @@ impl FetchConfig {
     /// of our workloads, as the paper's covers SPEC's hot blocks). Line sizes, the L0 buffer and every Table-1 penalty are
     /// unchanged. See DESIGN.md §4 (substitutions).
     pub fn scaled(class: EncodingClass, base_code_bytes: usize) -> FetchConfig {
-        let mut cfg = match class {
-            EncodingClass::Base => FetchConfig::base(),
-            EncodingClass::Tailored => FetchConfig::tailored(),
-            EncodingClass::Compressed => FetchConfig::compressed(),
-            EncodingClass::Ideal => return FetchConfig::ideal(),
-        };
+        let mut cfg = FetchConfig::of_class(class);
+        if class == EncodingClass::Ideal {
+            return cfg;
+        }
         let base_capacity =
             ((base_code_bytes as f64 * Self::SCALED_RATIO) as usize).max(8 * cfg.cache.line_bytes);
         cfg.cache.capacity = match class {

@@ -14,8 +14,9 @@
 
 use crate::{generate_program, splitmix64, Flavor, GenParams};
 
-/// Scheme names a generated request may carry, mirroring the bench
-/// matrix (`ccc_bench::engine::MATRIX_SCHEMES`).
+/// Scheme names a generated request may carry: a copy of
+/// `ccc_core::schemes::MATRIX` (this crate does not depend on ccc-core),
+/// pinned to it by `tests/workgen.rs`.
 pub const MIX_SCHEMES: [&str; 5] = ["byte", "stream", "stream_1", "full", "tailored"];
 
 /// Request operations, with their draw weights (encode-heavy, the

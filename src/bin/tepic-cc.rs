@@ -38,6 +38,11 @@
 //!                   first-level LUT size over each workload's op-word book
 //! ```
 //!
+//! `bench` prints only figure text on stdout; the per-figure framing and
+//! the engine, decode and LUT panels go to stderr, so
+//! `tepic-cc bench --figures fig05 > results/fig05_compression.txt`
+//! regenerates a result file (names and stems: `ccc_bench::figures::FIGURES`).
+//!
 //! `trace` options (DESIGN.md §12):
 //!
 //! ```text
@@ -143,7 +148,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 use tepic_ccc::bench::engine::cache::write_atomic;
 use tepic_ccc::bench::engine::Engine;
-use tepic_ccc::bench::{figures, history, Prepared};
+use tepic_ccc::bench::figures::{self, Figure, FIGURES};
+use tepic_ccc::bench::history::{self, build_features};
+use tepic_ccc::bench::Prepared;
 use tepic_ccc::ccc::pla::emit_tailored_decoder_verilog;
 use tepic_ccc::ccc::schemes::tailored::TailoredSpec;
 use tepic_ccc::prelude::*;
@@ -166,16 +173,6 @@ fn usage() -> ExitCode {
          [--shutdown] [--min-rps <f>] [--max-hot-p99-ns <N>]"
     );
     ExitCode::from(2)
-}
-
-/// The compiled feature set, as recorded in ledger fingerprints: ledger
-/// baselines from a simd build must not gate a baseline build.
-fn build_features() -> &'static str {
-    if cfg!(feature = "simd") {
-        "simd"
-    } else {
-        ""
-    }
 }
 
 /// The shared tail of every single-file subcommand: appends the run's
@@ -411,49 +408,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// The figure suite, as one flag-ordered list of (name, needs-reports,
-/// render) entries. `--figures` picks by name; the default set is the
-/// paper's core figures; `--all` adds the extensions.
-const CORE_FIGURES: [&str; 8] = [
-    "table1", "table2", "fig05", "fig07", "fig10", "fig13", "fig14", "diag",
-];
-const EXT_FIGURES: [&str; 8] = [
-    "ablations",
-    "sweep_cache",
-    "stream_explorer",
-    "ext_complex_units",
-    "ext_entropy_limit",
-    "ext_fault_campaign",
-    "ext_gshare",
-    "ext_tail_duplication",
-];
-
-fn render_figure(
-    name: &str,
-    prepared: &[Prepared],
-    reports: &[CompressionReport],
-) -> Option<String> {
-    Some(match name {
-        "table1" => figures::table1(),
-        "table2" => figures::table2(),
-        "fig05" => figures::fig05(reports),
-        "fig07" => figures::fig07(reports, prepared),
-        "fig10" => figures::fig10(reports),
-        "fig13" => figures::fig13(prepared),
-        "fig14" => figures::fig14(prepared),
-        "diag" => figures::diag(prepared),
-        "ablations" => figures::ablations(prepared),
-        "sweep_cache" => figures::sweep_cache(prepared),
-        "stream_explorer" => figures::stream_explorer(prepared),
-        "ext_complex_units" => figures::ext_complex_units(prepared),
-        "ext_entropy_limit" => figures::ext_entropy_limit(prepared),
-        "ext_fault_campaign" => figures::ext_fault_campaign(prepared, &CampaignConfig::default()),
-        "ext_gshare" => figures::ext_gshare(prepared),
-        "ext_tail_duplication" => figures::ext_tail_duplication(prepared),
-        _ => return None,
-    })
-}
-
 fn bench_cmd(args: &[String]) -> ExitCode {
     let mut jobs: Option<usize> = None;
     let mut no_cache = false;
@@ -539,30 +493,21 @@ fn bench_cmd(args: &[String]) -> ExitCode {
 
     // The figure selection joins the ledger group label — a fig05-only
     // run and the full core set are not comparable wall-clocks.
-    let (selected, figure_label): (Vec<String>, String) = match figure_list {
+    let (selected, figure_label): (Vec<&Figure>, String) = match figure_list {
         Some(list) => {
-            let label = list.join("+");
-            (list, label)
+            if let Some(name) = list.iter().find(|n| figures::figure(n).is_none()) {
+                eprintln!("tepic-cc bench: unknown figure {name}");
+                return ExitCode::from(2);
+            }
+            let selected = list.iter().filter_map(|n| figures::figure(n)).collect();
+            (selected, list.join("+"))
         }
-        None if all => (
-            CORE_FIGURES
-                .iter()
-                .chain(EXT_FIGURES.iter())
-                .map(|s| s.to_string())
-                .collect(),
-            "all".to_string(),
-        ),
+        None if all => (FIGURES.iter().collect(), "all".to_string()),
         None => (
-            CORE_FIGURES.iter().map(|s| s.to_string()).collect(),
+            FIGURES.iter().filter(|f| f.core).collect(),
             "core".to_string(),
         ),
     };
-    for name in &selected {
-        if !CORE_FIGURES.contains(&name.as_str()) && !EXT_FIGURES.contains(&name.as_str()) {
-            eprintln!("tepic-cc bench: unknown figure {name}");
-            return ExitCode::from(2);
-        }
-    }
 
     eprintln!(
         "tepic-cc bench: {} figure(s), jobs={}, cache={}",
@@ -582,18 +527,20 @@ fn bench_cmd(args: &[String]) -> ExitCode {
     let reports = engine.reports(&prepared);
     let prepare_wall = t0.elapsed();
 
+    // Stdout carries only figure text, so `--figures <name>` redirected
+    // to `results/<stem>.txt` regenerates that file; the framing and the
+    // engine/decode panels go to stderr.
     let t1 = Instant::now();
-    for name in &selected {
-        let text = render_figure(name, &prepared, &reports).expect("validated above");
-        println!("==================== {name} ====================");
-        println!("{text}");
+    for fig in &selected {
+        eprintln!("==================== {} ====================", fig.name);
+        print!("{}", (fig.render)(&prepared, &reports));
     }
     let render_wall = t1.elapsed();
 
     let snap = engine.snapshot();
-    println!("==================== engine ====================");
-    print!("{}", snap.render());
-    println!(
+    eprintln!("==================== engine ====================");
+    eprint!("{}", snap.render());
+    eprintln!(
         "  wall    prepare {:>9.1} ms   figures {:>9.1} ms   (jobs = {})",
         prepare_wall.as_secs_f64() * 1e3,
         render_wall.as_secs_f64() * 1e3,
@@ -603,8 +550,8 @@ fn bench_cmd(args: &[String]) -> ExitCode {
     // Decode-effort panel: the real decompressor over every workload's
     // fully-compressed image, printed alongside the cache stats so one
     // invocation shows both where time went and what decoding cost.
-    println!("==================== decode ====================");
-    println!(
+    eprintln!("==================== decode ====================");
+    eprintln!(
         "{:<10} {:>8} {:>10} {:>12} {:>9} {:>7}",
         "workload", "blocks", "ops", "stall-bits", "LUT-long", "errors"
     );
@@ -619,7 +566,7 @@ fn bench_cmd(args: &[String]) -> ExitCode {
                     &FetchConfig::compressed(),
                     out.codec.as_ref(),
                 );
-                println!(
+                eprintln!(
                     "{:<10} {:>8} {:>10} {:>12} {:>9} {:>7}",
                     p.workload.name,
                     ds.blocks_decoded,
@@ -634,10 +581,10 @@ fn bench_cmd(args: &[String]) -> ExitCode {
                 tot.long_fallbacks += ds.long_fallbacks;
                 tot.stall_bits += ds.stall_bits;
             }
-            Err(e) => println!("{:<10} <compress failed: {e}>", p.workload.name),
+            Err(e) => eprintln!("{:<10} <compress failed: {e}>", p.workload.name),
         }
     }
-    println!(
+    eprintln!(
         "{:<10} {:>8} {:>10} {:>12} {:>9} {:>7}",
         "total",
         tot.blocks_decoded,
@@ -653,16 +600,16 @@ fn bench_cmd(args: &[String]) -> ExitCode {
     // -- --lut-bits ..` runs over all schemes).
     if !lut_bits.is_empty() {
         use tepic_ccc::huffman::{BitReader, BitWriter, Dictionary, LutDecoder};
-        println!("==================== lut-bits sweep ====================");
+        eprintln!("==================== lut-bits sweep ====================");
         let header: Vec<String> = lut_bits.iter().map(|b| format!("{b:>4}b MB/s",)).collect();
-        println!("{:<10} {}", "workload", header.join("  "));
+        eprintln!("{:<10} {}", "workload", header.join("  "));
         for p in &prepared {
             let words = p.program.op_words();
             let dict: Dictionary<u64> = words.iter().copied().collect();
             let book = match CodeBook::bounded_from_freqs(dict.freqs(), 24) {
                 Ok(b) => b,
                 Err(e) => {
-                    println!("{:<10} <book failed: {e}>", p.workload.name);
+                    eprintln!("{:<10} <book failed: {e}>", p.workload.name);
                     continue;
                 }
             };
@@ -691,7 +638,7 @@ fn bench_cmd(args: &[String]) -> ExitCode {
                     format!("{:>9.1}", bytes.len() as f64 / best / 1e6)
                 })
                 .collect();
-            println!("{:<10} {}", p.workload.name, cols.join("  "));
+            eprintln!("{:<10} {}", p.workload.name, cols.join("  "));
         }
     }
 
@@ -707,7 +654,7 @@ fn bench_cmd(args: &[String]) -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        println!("  warm-cache assertion held: 0 misses, {expected_images} image hits.");
+        eprintln!("  warm-cache assertion held: 0 misses, {expected_images} image hits.");
     }
 
     let mut rec = history::engine_record(
@@ -820,34 +767,34 @@ fn trace_cmd(args: &[String]) -> ExitCode {
         }
     };
 
-    // Base and Tailored fetch uncompressed/re-laid-out code — no serial
-    // decoder on their hit path; everything else decompresses for real.
+    // The image's fetch class picks the configuration and whether a
+    // codec rides the hit path (only compressed code decodes for real).
     let clock = MonotonicClock::new();
-    let (cfg, codec) = match scheme.as_str() {
-        "base" => (FetchConfig::base(), None),
-        "tailored" => (FetchConfig::tailored(), None),
-        _ => {
-            let codec_start = clock.now_ns();
-            let out = match tepic_ccc::bench::engine::scheme_by_name(&scheme)
-                .expect("validated above")
-                .compress(&program)
-            {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("tepic-cc trace: {scheme}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            sink.record(TraceEvent::Span {
-                name: "codec",
-                detail: format!("{}/{scheme}", w.name),
-                id: engine.next_span_id(),
-                parent: 0,
-                start_ns: codec_start,
-                dur_ns: clock.now_ns().saturating_sub(codec_start),
-            });
-            (FetchConfig::compressed(), Some(out.codec))
-        }
+    let class = EncodingClass::of(&image.kind);
+    let cfg = FetchConfig::of_class(class);
+    let codec = if class.decodes_on_hit() {
+        let codec_start = clock.now_ns();
+        let out = match tepic_ccc::bench::engine::scheme_by_name(&scheme)
+            .expect("validated above")
+            .compress(&program)
+        {
+            Ok(o) => o,
+            Err(e) => {
+                eprintln!("tepic-cc trace: {scheme}: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        sink.record(TraceEvent::Span {
+            name: "codec",
+            detail: format!("{}/{scheme}", w.name),
+            id: engine.next_span_id(),
+            parent: 0,
+            start_ns: codec_start,
+            dur_ns: clock.now_ns().saturating_sub(codec_start),
+        });
+        Some(out.codec)
+    } else {
+        None
     };
 
     let mut fetch_sink = sink.clone();
@@ -921,7 +868,7 @@ fn trace_cmd(args: &[String]) -> ExitCode {
         dstats.long_fallbacks
     );
     if check {
-        match validate_trace(&trace_json, &metrics_json, &scheme) {
+        match validate_trace(&trace_json, &metrics_json, &scheme, class) {
             Ok(()) => println!("check: trace/metrics reconciliation and span coverage held"),
             Err(e) => {
                 eprintln!("tepic-cc trace: check failed: {e}");
@@ -976,11 +923,11 @@ fn quiet_injected_panics() {
 /// Renders the core figure suite to one comparable string.
 fn figure_suite_text(prepared: &[Prepared], reports: &[CompressionReport]) -> String {
     let mut s = String::new();
-    for name in CORE_FIGURES {
+    for fig in FIGURES.iter().filter(|f| f.core) {
         s.push_str("==================== ");
-        s.push_str(name);
+        s.push_str(fig.name);
         s.push_str(" ====================\n");
-        s.push_str(&render_figure(name, prepared, reports).expect("core figure"));
+        s.push_str(&(fig.render)(prepared, reports));
         s.push('\n');
     }
     s
@@ -1329,9 +1276,10 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
          \"sites\": \"{}\",\n  \"figures\": [{}],\n  \"coverage\": {{{coverage_json}}},\n  \
          \"runs_detail\": [\n{}\n  ],\n  \"ok\": {all_ok}\n}}\n",
         json_escape(&sites_spec),
-        CORE_FIGURES
+        FIGURES
             .iter()
-            .map(|f| format!("\"{f}\""))
+            .filter(|f| f.core)
+            .map(|f| format!("\"{}\"", f.name))
             .collect::<Vec<_>>()
             .join(", "),
         run_jsons.join(",\n"),
@@ -1376,7 +1324,12 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
 /// dropped, and the per-kind event totals agree with the `fetch.*`
 /// counters — the CLI-level version of the engine's internal
 /// reconciliation.
-fn validate_trace(trace_json: &str, metrics_json: &str, scheme: &str) -> Result<(), String> {
+fn validate_trace(
+    trace_json: &str,
+    metrics_json: &str,
+    scheme: &str,
+    class: EncodingClass,
+) -> Result<(), String> {
     use tepic_ccc::telemetry::{parse_json, JsonValue};
     let t = parse_json(trace_json).map_err(|e| format!("trace JSON: {e}"))?;
     let m = parse_json(metrics_json).map_err(|e| format!("metrics JSON: {e}"))?;
@@ -1385,11 +1338,11 @@ fn validate_trace(trace_json: &str, metrics_json: &str, scheme: &str) -> Result<
         .and_then(JsonValue::as_arr)
         .ok_or("traceEvents missing")?;
     // Per-scheme span coverage: every scheme runs the engine stages and
-    // the fetch simulation; the compressed schemes must additionally
-    // show the codec-construction span (base and tailored fetch without
-    // a serial decoder, so demanding it there would always fail).
+    // the fetch simulation; schemes that decode on hit must additionally
+    // show the codec-construction span (the others fetch without a
+    // serial decoder, so demanding it there would always fail).
     let mut required = vec!["compile", "emulate", "encode", "simulate"];
-    if !matches!(scheme, "base" | "tailored") {
+    if class.decodes_on_hit() {
         required.push("codec");
     }
     for stage in required {

@@ -31,6 +31,28 @@ fn every_workload_round_trips_every_scheme() {
 }
 
 #[test]
+fn every_scheme_maps_to_its_fetch_class() {
+    let program = workloads::by_name("li").unwrap().compile().unwrap();
+    for (name, class, decodes) in [
+        ("base", EncodingClass::Base, false),
+        ("tailored", EncodingClass::Tailored, false),
+        ("byte", EncodingClass::Compressed, true),
+        ("stream", EncodingClass::Compressed, true),
+        ("stream_1", EncodingClass::Compressed, true),
+        ("full", EncodingClass::Compressed, true),
+    ] {
+        let image = schemes::by_name(name)
+            .unwrap()
+            .compress(&program)
+            .unwrap()
+            .image;
+        assert_eq!(EncodingClass::of(&image.kind), class, "{name}");
+        assert_eq!(class.decodes_on_hit(), decodes, "{name}");
+        assert_eq!(FetchConfig::of_class(class).class, class, "{name}");
+    }
+}
+
+#[test]
 fn att_entries_match_images() {
     for w in &workloads::ALL {
         let program = w.compile().unwrap();

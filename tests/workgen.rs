@@ -21,6 +21,13 @@ use tepic_ccc::workgen::{generate_corpus, Flavor, GenError, MixProfile, Tier};
 const GEN_LIMITS: Limits = Limits { max_ops: 5_000_000 };
 
 #[test]
+fn serve_mix_draws_from_the_scheme_matrix() {
+    // ccc-workgen does not depend on ccc-core, so it keeps a copy of the
+    // scheme list; this pins the copy to the original.
+    assert_eq!(tepic_ccc::workgen::MIX_SCHEMES, MATRIX_SCHEMES);
+}
+
+#[test]
 fn corpus_generation_is_deterministic() {
     let a = generate_corpus(42, Tier::Tiny, Flavor::Tepic).unwrap();
     let b = generate_corpus(42, Tier::Tiny, Flavor::Tepic).unwrap();
