@@ -4,8 +4,11 @@
 //! [`crate::engine::pool`], and serves warm artifacts straight from the
 //! engine's content-addressed cache.
 //!
-//! The perf core is two mechanisms:
+//! The perf core is three mechanisms:
 //!
+//! * **Response memo** — a bounded LRU of successful response bodies
+//!   by flight key ([`MEMO_BUDGET`] bytes). A repeated request is one
+//!   lookup: no queue, no engine, no simulation.
 //! * **Single-flight coalescing** — concurrent requests with equal
 //!   [`proto::JobRequest::flight_key`]s share one builder; followers
 //!   block on the leader's [`FlightSlot`] and receive the identical
@@ -18,10 +21,9 @@
 //! daemon's [`MetricsRegistry`] (serve counters, queue-depth and
 //! per-op latency histograms, engine cache hit/miss gauges).
 
-pub mod codecs;
 pub mod proto;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,21 +31,22 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ccc_core::schemes::BlockCodec;
+use ccc_core::schemes::Scheme;
 use ccc_core::{crc32, encoded_to_bytes, Failpoints};
 use ccc_telemetry::{json, MetricsRegistry};
 use ifetch_sim::{
     simulate, simulate_decoded, simulate_decoded_injected, DecodeStats, EncodingClass, FetchConfig,
     FetchResult,
 };
-use tepic_isa::wire::Fnv128;
 
 use crate::engine::{pool, scheme_by_name, Engine};
-use codecs::CodecCache;
 use proto::{read_frame, write_frame, ErrKind, FrameError, JobOp, JobRequest, Request, WireError};
 
 /// Decode-fault mix used by `faultsim` jobs (seeded per request).
 const FAULTSIM_SPEC: &str = "decode.lut:0.3:error";
+
+/// Total response-body bytes the response memo may hold.
+pub const MEMO_BUDGET: usize = 4 << 20;
 
 /// Server tuning knobs.
 #[derive(Clone)]
@@ -109,7 +112,7 @@ impl DispatchGate {
 /// One in-flight build: the leader fills it once, every coalesced
 /// follower clones the filled response.
 struct FlightSlot {
-    done: Mutex<Option<Result<String, WireError>>>,
+    done: Mutex<Option<Result<Arc<str>, WireError>>>,
     cv: Condvar,
 }
 
@@ -121,13 +124,13 @@ impl FlightSlot {
         })
     }
 
-    fn fill(&self, result: Result<String, WireError>) {
+    fn fill(&self, result: Result<Arc<str>, WireError>) {
         let mut done = self.done.lock().expect("flight poisoned");
         *done = Some(result);
         self.cv.notify_all();
     }
 
-    fn wait(&self) -> Result<String, WireError> {
+    fn wait(&self) -> Result<Arc<str>, WireError> {
         let mut done = self.done.lock().expect("flight poisoned");
         loop {
             if let Some(r) = done.as_ref() {
@@ -135,6 +138,54 @@ impl FlightSlot {
             }
             done = self.cv.wait(done).expect("flight poisoned");
         }
+    }
+}
+
+/// A bounded LRU memo of successful response bodies by flight key. A
+/// response is a pure function of its key (coalesced followers already
+/// receive the leader's exact bytes), so a hit may skip the queue.
+#[derive(Default)]
+struct ResponseMemo {
+    /// Body and last-use stamp per key.
+    map: HashMap<u128, (Arc<str>, u64)>,
+    /// Keys by last-use stamp, least recently used first.
+    lru: BTreeMap<u64, u128>,
+    clock: u64,
+    bytes: usize,
+}
+
+impl ResponseMemo {
+    fn get(&mut self, key: u128) -> Option<Arc<str>> {
+        let (body, stamp) = self.map.get_mut(&key)?;
+        self.lru.remove(stamp);
+        self.clock += 1;
+        *stamp = self.clock;
+        self.lru.insert(self.clock, key);
+        Some(Arc::clone(body))
+    }
+
+    /// Stores `body` under `key`, then evicts least recently used
+    /// entries until the total fits [`MEMO_BUDGET`]; returns how many
+    /// it evicted. A body larger than the whole budget is not stored.
+    fn insert(&mut self, key: u128, body: Arc<str>) -> u64 {
+        if body.len() > MEMO_BUDGET {
+            return 0;
+        }
+        self.clock += 1;
+        self.bytes += body.len();
+        if let Some((old, stamp)) = self.map.insert(key, (body, self.clock)) {
+            self.bytes -= old.len();
+            self.lru.remove(&stamp);
+        }
+        self.lru.insert(self.clock, key);
+        let mut evicted = 0;
+        while self.bytes > MEMO_BUDGET {
+            let (_, oldest) = self.lru.pop_first().expect("over budget means non-empty");
+            let (old, _) = self.map.remove(&oldest).expect("lru and map agree");
+            self.bytes -= old.len();
+            evicted += 1;
+        }
+        evicted
     }
 }
 
@@ -149,7 +200,7 @@ struct QueuedJob {
 struct Shared {
     engine: Engine,
     registry: MetricsRegistry,
-    codecs: CodecCache,
+    memo: Mutex<ResponseMemo>,
     queue: Mutex<VecDeque<QueuedJob>>,
     queue_cv: Condvar,
     flights: Mutex<HashMap<u128, Arc<FlightSlot>>>,
@@ -178,7 +229,7 @@ impl ServerHandle {
         let shared = Arc::new(Shared {
             engine,
             registry: MetricsRegistry::new(),
-            codecs: CodecCache::new(),
+            memo: Mutex::default(),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             flights: Mutex::new(HashMap::new()),
@@ -306,13 +357,19 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 let shared = Arc::clone(shared);
                 Box::new(move || {
                     shared.registry.counter("serve.jobs_executed").inc();
-                    let result = execute_job(&shared, &job.req);
-                    // Deregister the flight BEFORE filling the slot:
-                    // the first filled response a client observes
-                    // means its key is already free, so a follow-up
-                    // request starts a fresh (cache-warm) flight
-                    // instead of joining a completed one. Waiters
-                    // already parked on the slot still get the result.
+                    let result = execute_job(&shared, &job.req).map(Arc::<str>::from);
+                    // Memoize (never an error), then deregister the
+                    // flight, then fill the slot. Admission reads the
+                    // memo under the flights lock, so a later request
+                    // finds the flight or the memo entry, never neither.
+                    if let Ok(body) = &result {
+                        let evicted = shared
+                            .memo
+                            .lock()
+                            .expect("memo poisoned")
+                            .insert(job.key, Arc::clone(body));
+                        shared.registry.counter("serve.memo_evictions").add(evicted);
+                    }
                     shared
                         .flights
                         .lock()
@@ -327,6 +384,9 @@ fn dispatch_loop(shared: &Arc<Shared>) {
 }
 
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
+    // Frames already leave in one write; this keeps a reply larger than
+    // one segment from waiting on the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(shared.cfg.read_timeout);
     let _ = stream.set_write_timeout(shared.cfg.write_timeout);
     loop {
@@ -350,16 +410,13 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         };
         shared.registry.counter("serve.requests").inc();
         let start = Instant::now();
-        let (op_label, body) = match Request::parse(&payload) {
+        let (op_label, body): (_, Arc<str>) = match Request::parse(&payload) {
             Err(e) => {
                 shared.registry.counter("serve.bad_frames").inc();
-                ("error", e.body())
+                ("error", e.body().into())
             }
-            Ok(Request::Ping) => (
-                "ping",
-                r#"{"ok":true,"op":"ping","msg":"pong"}"#.to_string(),
-            ),
-            Ok(Request::Metrics) => ("metrics", metrics_body(shared)),
+            Ok(Request::Ping) => ("ping", r#"{"ok":true,"op":"ping","msg":"pong"}"#.into()),
+            Ok(Request::Metrics) => ("metrics", metrics_body(shared).into()),
             Ok(Request::Shutdown) => {
                 // Ack BEFORE starting the drain: once the drain begins,
                 // `tepic-ccd`'s main may exit (killing this detached
@@ -377,7 +434,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 let label = req.op.name();
                 let body = match admit_job(shared, req) {
                     Ok(body) => body,
-                    Err(e) => e.body(),
+                    Err(e) => e.body().into(),
                 };
                 (label, body)
             }
@@ -408,30 +465,34 @@ const LATENCY_BOUNDS: [u64; 12] = [
     4_294_967_000,
 ];
 
-/// Admission: join an existing flight (coalesced), or claim the flight
-/// and enqueue — unless the queue is full (`busy`) or the daemon is
-/// draining (`draining`). Blocks until the flight's result is filled.
-fn admit_job(shared: &Arc<Shared>, req: JobRequest) -> Result<String, WireError> {
-    if req.op != JobOp::Compile && scheme_by_name(&req.scheme).is_none() {
-        return Err(WireError::new(
-            ErrKind::UnknownScheme,
-            format!("unknown scheme {:?}", req.scheme),
-        ));
+/// Admission, in tier order: refuse while draining (`draining`), answer
+/// from the response memo, join an existing flight (coalesced), or
+/// claim the flight and enqueue — unless the queue is full (`busy`).
+/// Blocks until the flight's result is filled.
+fn admit_job(shared: &Arc<Shared>, req: JobRequest) -> Result<Arc<str>, WireError> {
+    if req.op != JobOp::Compile {
+        scheme(&req.scheme)?;
+    }
+    if shared.draining() {
+        return Err(draining_error(shared));
     }
     let key = req.flight_key();
     let slot = {
         let mut flights = shared.flights.lock().expect("flights poisoned");
+        if let Some(body) = shared.memo.lock().expect("memo poisoned").get(key) {
+            shared.registry.counter("serve.memo_hits").inc();
+            return Ok(body);
+        }
+        shared.registry.counter("serve.memo_misses").inc();
         if let Some(slot) = flights.get(&key) {
             shared.registry.counter("serve.coalesced_waits").inc();
             Arc::clone(slot)
         } else {
             let mut q = shared.queue.lock().expect("queue poisoned");
+            // Checked again under the queue lock: a drain that began
+            // since the check above must not strand an enqueued job.
             if shared.draining() {
-                shared.registry.counter("serve.draining_rejections").inc();
-                return Err(WireError::new(
-                    ErrKind::Draining,
-                    "daemon is draining; no new jobs accepted",
-                ));
+                return Err(draining_error(shared));
             }
             if q.len() >= shared.cfg.queue_depth {
                 shared.registry.counter("serve.busy_rejections").inc();
@@ -458,15 +519,32 @@ fn admit_job(shared: &Arc<Shared>, req: JobRequest) -> Result<String, WireError>
     slot.wait()
 }
 
+fn scheme(name: &str) -> Result<Box<dyn Scheme>, WireError> {
+    scheme_by_name(name)
+        .ok_or_else(|| WireError::new(ErrKind::UnknownScheme, format!("unknown scheme {name:?}")))
+}
+
+fn draining_error(shared: &Shared) -> WireError {
+    shared.registry.counter("serve.draining_rejections").inc();
+    WireError::new(
+        ErrKind::Draining,
+        "daemon is draining; no new jobs accepted",
+    )
+}
+
 /// Queue-depth histogram bounds.
 const QUEUE_BOUNDS: [u64; 9] = [0, 1, 2, 4, 8, 16, 32, 64, 128];
 
-/// The `metrics` response: engine cache counters refreshed into
-/// `serve.engine.*` gauges (gauges are set, not added, so repeated
-/// metrics requests don't double-count), then the whole registry as
-/// JSON.
+/// The `metrics` response: engine cache counters and the memo's size
+/// refreshed into `serve.engine.*`/`serve.memo_*` gauges (gauges are
+/// set, not added, so repeated metrics requests don't double-count),
+/// then the whole registry as JSON.
 fn metrics_body(shared: &Arc<Shared>) -> String {
     let snap = shared.engine.snapshot();
+    let (memo_bytes, memo_entries) = {
+        let memo = shared.memo.lock().expect("memo poisoned");
+        (memo.bytes as u64, memo.map.len() as u64)
+    };
     for (name, v) in [
         ("serve.engine.program_hits", snap.program_hits),
         ("serve.engine.program_misses", snap.program_misses),
@@ -475,13 +553,11 @@ fn metrics_body(shared: &Arc<Shared>) -> String {
         ("serve.engine.image_hits", snap.image_hits),
         ("serve.engine.image_misses", snap.image_misses),
         ("serve.engine.corrupt_entries", snap.corrupt_entries),
+        ("serve.memo_bytes", memo_bytes),
+        ("serve.memo_entries", memo_entries),
     ] {
         shared.registry.gauge(name).set(v as i64);
     }
-    shared
-        .registry
-        .gauge("serve.codecs_memoized")
-        .set(shared.codecs.len() as i64);
     shared
         .registry
         .gauge("serve.queue_len")
@@ -539,7 +615,10 @@ fn execute_job(shared: &Arc<Shared>, req: &JobRequest) -> Result<String, WireErr
             let class = EncodingClass::of(&image.kind);
             let cfg = FetchConfig::of_class(class);
             let (result, dstats) = if class.decodes_on_hit() {
-                let codec = memo_codec(shared, req, &program)?;
+                let codec = scheme(&req.scheme)?
+                    .compress(&program)
+                    .map_err(|e| WireError::new(ErrKind::CompressError, e.to_string()))?
+                    .codec;
                 if req.op == JobOp::Faultsim {
                     let fp = Failpoints::from_spec(FAULTSIM_SPEC, req.seed)
                         .map_err(|e| WireError::new(ErrKind::Internal, e.to_string()))?;
@@ -557,31 +636,6 @@ fn execute_job(shared: &Arc<Shared>, req: &JobRequest) -> Result<String, WireErr
             Ok(render_sim(req, &result, &dstats))
         }
     }
-}
-
-/// Looks up (or builds and memoizes) the decode codec for the request's
-/// (scheme, program) pair — the warm `simulate` path.
-fn memo_codec(
-    shared: &Arc<Shared>,
-    req: &JobRequest,
-    program: &tepic_isa::Program,
-) -> Result<Arc<dyn BlockCodec>, WireError> {
-    let scheme = &req.scheme;
-    let mut h = Fnv128::new();
-    h.update_str(scheme);
-    h.update_str(&req.name);
-    h.update_str(&req.source);
-    shared
-        .codecs
-        .get_or_build(&shared.registry, h.finish(), || {
-            let out = scheme_by_name(scheme)
-                .ok_or_else(|| {
-                    WireError::new(ErrKind::UnknownScheme, format!("unknown scheme {scheme:?}"))
-                })?
-                .compress(program)
-                .map_err(|e| WireError::new(ErrKind::CompressError, e.to_string()))?;
-            Ok(Arc::from(out.codec))
-        })
 }
 
 fn render_sim(req: &JobRequest, result: &FetchResult, dstats: &DecodeStats) -> String {

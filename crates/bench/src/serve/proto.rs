@@ -59,15 +59,20 @@ impl FrameError {
     }
 }
 
-/// Writes one length-prefixed frame and flushes.
+/// Writes one length-prefixed frame in a single `write_all` and
+/// flushes. One write, not header-then-payload: on a socket with
+/// Nagle's algorithm on, a second small write waits for the ACK of the
+/// first, which the peer delays (~40 ms per direction on Linux).
 ///
 /// # Errors
 ///
 /// Propagates the underlying write/flush error.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -154,7 +159,7 @@ pub struct JobRequest {
     pub name: String,
     /// Scheme name (ignored by `compile` but still part of the frame).
     pub scheme: String,
-    /// Fault seed (meaningful for `faultsim` only).
+    /// Fault seed (`faultsim` consumes it; `simulate` echoes it).
     pub seed: u64,
     /// Program source text.
     pub source: String,
@@ -165,7 +170,8 @@ impl JobRequest {
     /// guaranteed to produce byte-identical responses, so the second
     /// may wait on the first's builder. Hashes exactly the fields the
     /// response depends on — `compile` ignores scheme and seed,
-    /// `encode`/`simulate` ignore seed.
+    /// `encode` ignores seed, and `simulate` hashes it because its
+    /// response echoes it.
     pub fn flight_key(&self) -> u128 {
         let mut h = Fnv128::new();
         h.update_str(self.op.name());
@@ -173,10 +179,10 @@ impl JobRequest {
         h.update_str(&self.source);
         match self.op {
             JobOp::Compile => {}
-            JobOp::Encode | JobOp::Simulate => {
+            JobOp::Encode => {
                 h.update_str(&self.scheme);
             }
-            JobOp::Faultsim => {
+            JobOp::Simulate | JobOp::Faultsim => {
                 h.update_str(&self.scheme);
                 h.update_u32(self.seed as u32);
                 h.update_u32((self.seed >> 32) as u32);
@@ -480,12 +486,16 @@ mod tests {
         let mut enc_byte = other_scheme.clone();
         enc_byte.op = JobOp::Encode;
         assert_ne!(enc.flight_key(), enc_byte.flight_key());
-        // ...and simulate ignores seed while faultsim does not.
+        // ...encode ignores seed...
+        let mut enc_seed = enc.clone();
+        enc_seed.seed = 8;
+        assert_eq!(enc.flight_key(), enc_seed.flight_key());
+        // ...and simulate and faultsim hash it (both responses echo it).
         let mut sim_a = base.clone();
         sim_a.op = JobOp::Simulate;
         let mut sim_b = sim_a.clone();
         sim_b.seed = 8;
-        assert_eq!(sim_a.flight_key(), sim_b.flight_key());
+        assert_ne!(sim_a.flight_key(), sim_b.flight_key());
         sim_a.op = JobOp::Faultsim;
         sim_b.op = JobOp::Faultsim;
         assert_ne!(sim_a.flight_key(), sim_b.flight_key());
@@ -507,6 +517,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn write_frame_makes_one_write_call() {
+        /// Counts `write` calls (`write_all` loops over `write`).
+        struct Counting(usize, Vec<u8>);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                self.1.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting(0, Vec::new());
+        write_frame(&mut w, b"payload").unwrap();
+        assert_eq!(w.0, 1, "header and payload leave in one write");
+        assert_eq!(w.1, b"\0\0\0\x07payload");
     }
 
     #[test]

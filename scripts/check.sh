@@ -129,8 +129,9 @@ echo "==> serve daemon smoke (tepic-ccd + loadgen)"
 # ephemeral port, fires a seeded mixed hot/cold loadgen burst at it
 # (--verify re-fetches every hot combo and asserts the daemon's bytes
 # are identical to the warmup responses AND to the locally recomputed
-# one-shot pipeline artifacts), enforces loose floors (req/s, hot p99,
-# zero errors), then --shutdown drains the daemon gracefully: the
+# one-shot pipeline artifacts), enforces floors (>= 100 req/s, hot p99
+# <= 50 ms, zero errors; a 2-vCPU VM measures ~380 req/s and ~2 ms),
+# then --shutdown drains the daemon gracefully: the
 # drain ack must arrive, post-drain jobs must be refused, and the
 # daemon process must exit 0. results/BENCH_serve.json is refreshed
 # (uploaded by CI).
@@ -152,7 +153,7 @@ while [ ! -s "$CCC_SERVE_DIR/port" ]; do
 done
 CCC_LEDGER="$CCC_SERVE_DIR/ledger.jsonl" ./target/release/tepic-cc loadgen \
     --addr "$(cat "$CCC_SERVE_DIR/port")" --requests 200 --conns 4 --seed 42 \
-    --verify --shutdown --min-rps 20 --max-hot-p99-ns 2000000000
+    --verify --shutdown --min-rps 100 --max-hot-p99-ns 50000000
 wait "$CCC_SERVE_PID" || {
     echo "tepic-ccd exited non-zero after drain" >&2
     exit 1

@@ -2,7 +2,7 @@
 //! protocol round-trips against a live in-process server, single-flight
 //! coalescing under a cold-key stampede, bounded-admission
 //! backpressure, graceful drain, warm-path byte-identity against the
-//! one-shot pipeline, and codec memoization on repeated simulates.
+//! one-shot pipeline, and the bounded response memo.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -12,7 +12,7 @@ use tepic_ccc::bench::engine::{scheme_by_name, Engine};
 use tepic_ccc::bench::serve::proto::{
     read_frame, write_frame, JobOp, JobRequest, Request, MAX_FRAME,
 };
-use tepic_ccc::bench::serve::{DispatchGate, ServeConfig, ServerHandle};
+use tepic_ccc::bench::serve::{DispatchGate, ServeConfig, ServerHandle, MEMO_BUDGET};
 use tepic_ccc::telemetry::parse_json;
 use tepic_ccc::workgen::{generate_program, Flavor, GenParams};
 
@@ -79,6 +79,25 @@ fn start_uncached(cfg: ServeConfig) -> ServerHandle {
     ServerHandle::start(Engine::uncached(2), cfg).expect("bind ephemeral port")
 }
 
+/// A gauge as the `metrics` op reports it (the op refreshes the
+/// engine and memo gauges first).
+fn gauge(addr: SocketAddr, name: &str) -> Option<f64> {
+    let m = roundtrip(&mut connect(addr), &Request::Metrics);
+    let v = parse_json(std::str::from_utf8(&m).unwrap()).unwrap();
+    v.get("metrics")
+        .and_then(|m| m.get("gauges"))
+        .and_then(|g| g.get(name))
+        .and_then(|g| g.as_f64())
+}
+
+fn error_kind(reply: &[u8]) -> Option<String> {
+    let v = parse_json(std::str::from_utf8(reply).unwrap()).unwrap();
+    v.get("error")
+        .and_then(|e| e.get("kind"))
+        .and_then(|k| k.as_str())
+        .map(str::to_string)
+}
+
 #[test]
 fn ping_and_metrics_round_trip() {
     let server = start_uncached(ServeConfig::default());
@@ -106,12 +125,22 @@ fn ping_and_metrics_round_trip() {
 #[test]
 fn warm_hits_are_byte_identical_to_one_shot_artifacts() {
     let scratch = ScratchDir::new("warm");
-    let engine = Engine::with_cache_dir(2, &scratch.0).expect("open scratch cache");
-    let server = ServerHandle::start(engine, ServeConfig::default()).expect("start");
+    let start = || {
+        let engine = Engine::with_cache_dir(2, &scratch.0).expect("open scratch cache");
+        ServerHandle::start(engine, ServeConfig::default()).expect("start")
+    };
     let source = small_source(11);
     let req = job(JobOp::Encode, "warmcheck", &source, "full", 0);
 
-    let cold = roundtrip(&mut connect(server.local_addr()), &req);
+    // The cold build runs on one daemon; the warm request goes to a
+    // second daemon over the same cache dir, whose response memo starts
+    // empty, so it is answered from the disk tier.
+    let cold_server = start();
+    let cold = roundtrip(&mut connect(cold_server.local_addr()), &req);
+    let cold_misses = gauge(cold_server.local_addr(), "serve.engine.image_misses");
+    cold_server.shutdown();
+    cold_server.join();
+    let server = start();
     let warm = roundtrip(&mut connect(server.local_addr()), &req);
     assert_eq!(cold, warm, "warm response must be byte-identical to cold");
 
@@ -132,23 +161,12 @@ fn warm_hits_are_byte_identical_to_one_shot_artifacts() {
     );
     assert_eq!(served, local, "daemon image differs from one-shot artifact");
 
-    // And the warm request was really served from cache: one miss
-    // (the cold build), at least one hit (the warm one).
-    let snap_gauges = roundtrip(&mut connect(server.local_addr()), &Request::Metrics);
-    let v = parse_json(std::str::from_utf8(&snap_gauges).unwrap()).unwrap();
-    let gauges = v.get("metrics").and_then(|m| m.get("gauges")).unwrap();
-    assert_eq!(
-        gauges
-            .get("serve.engine.image_misses")
-            .and_then(|g| g.as_f64()),
-        Some(1.0)
-    );
-    assert_eq!(
-        gauges
-            .get("serve.engine.image_hits")
-            .and_then(|g| g.as_f64()),
-        Some(1.0)
-    );
+    // And the warm request was really served from the disk cache: one
+    // miss (the cold build), one hit (the warm one).
+    assert_eq!(cold_misses, Some(1.0));
+    let addr = server.local_addr();
+    assert_eq!(gauge(addr, "serve.engine.image_misses"), Some(0.0));
+    assert_eq!(gauge(addr, "serve.engine.image_hits"), Some(1.0));
 
     server.shutdown();
     server.join();
@@ -201,11 +219,12 @@ fn cold_stampede_coalesces_to_one_build() {
         Some(true)
     );
 
-    // A later identical request is its own flight (the finished one
-    // was deregistered) but still yields the same bytes.
+    // A later identical request finds the finished flight memoized:
+    // the same bytes, and no second job.
     let again = roundtrip(&mut connect(server.local_addr()), &req);
     assert_eq!(again, responses[0]);
-    assert_eq!(server.registry().counter("serve.jobs_executed").get(), 2);
+    assert_eq!(server.registry().counter("serve.jobs_executed").get(), 1);
+    assert_eq!(server.registry().counter("serve.memo_hits").get(), 1);
 
     server.shutdown();
     server.join();
@@ -233,13 +252,7 @@ fn full_admission_queue_answers_busy() {
             move || roundtrip(&mut connect(addr), &req)
         });
         poll_until("dispatcher to claim job A", || {
-            let m = roundtrip(&mut connect(addr), &Request::Metrics);
-            let v = parse_json(std::str::from_utf8(&m).unwrap()).unwrap();
-            v.get("metrics")
-                .and_then(|m| m.get("gauges"))
-                .and_then(|g| g.get("serve.queue_len"))
-                .and_then(|q| q.as_f64())
-                == Some(0.0)
+            gauge(addr, "serve.queue_len") == Some(0.0)
                 && server.registry().counter("serve.requests").get() >= 1
         });
         // B fills the queue (depth 1).
@@ -248,22 +261,13 @@ fn full_admission_queue_answers_busy() {
             move || roundtrip(&mut connect(addr), &req)
         });
         poll_until("job B to occupy the queue", || {
-            let m = roundtrip(&mut connect(addr), &Request::Metrics);
-            let v = parse_json(std::str::from_utf8(&m).unwrap()).unwrap();
-            v.get("metrics")
-                .and_then(|m| m.get("gauges"))
-                .and_then(|g| g.get("serve.queue_len"))
-                .and_then(|q| q.as_f64())
-                == Some(1.0)
+            gauge(addr, "serve.queue_len") == Some(1.0)
         });
         // C must bounce immediately with a typed busy error.
         let req_c = job(JobOp::Encode, "busy-c", &src_c, "byte", 0);
         let c_resp = roundtrip(&mut connect(addr), &req_c);
-        let v = parse_json(std::str::from_utf8(&c_resp).unwrap()).unwrap();
         assert_eq!(
-            v.get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(|k| k.as_str()),
+            error_kind(&c_resp).as_deref(),
             Some("busy"),
             "third job must be rejected: {}",
             String::from_utf8_lossy(&c_resp)
@@ -302,13 +306,7 @@ fn graceful_drain_finishes_jobs_and_refuses_new_connections() {
 
     // A job on the still-open connection gets a typed draining error.
     let rejected = roundtrip(&mut c, &job(JobOp::Compile, "late", &source, "full", 0));
-    let v = parse_json(std::str::from_utf8(&rejected).unwrap()).unwrap();
-    assert_eq!(
-        v.get("error")
-            .and_then(|e| e.get("kind"))
-            .and_then(|k| k.as_str()),
-        Some("draining")
-    );
+    assert_eq!(error_kind(&rejected).as_deref(), Some("draining"));
 
     // join() returns (accept loop + dispatcher exit) and the port is
     // then refused for new connections.
@@ -320,7 +318,27 @@ fn graceful_drain_finishes_jobs_and_refuses_new_connections() {
 }
 
 #[test]
-fn repeated_simulates_memoize_the_decoder_tables() {
+fn memoized_requests_are_refused_during_drain() {
+    let server = start_uncached(ServeConfig::default());
+    let source = small_source(45);
+    let req = job(JobOp::Compile, "memo-drain", &source, "full", 0);
+    let mut c = connect(server.local_addr());
+
+    let first = roundtrip(&mut c, &req);
+    assert!(String::from_utf8_lossy(&first).contains("\"ok\":true"));
+    assert_eq!(roundtrip(&mut c, &req), first, "memo hit before drain");
+    assert_eq!(server.registry().counter("serve.memo_hits").get(), 1);
+
+    roundtrip(&mut c, &Request::Shutdown);
+    // The memo is consulted after the draining check, never before.
+    let refused = roundtrip(&mut c, &req);
+    assert_eq!(error_kind(&refused).as_deref(), Some("draining"));
+    assert_eq!(server.registry().counter("serve.memo_hits").get(), 1);
+    server.join();
+}
+
+#[test]
+fn repeated_simulates_are_answered_from_the_response_memo() {
     let scratch = ScratchDir::new("memo");
     let engine = Engine::with_cache_dir(2, &scratch.0).expect("open scratch cache");
     let server = ServerHandle::start(engine, ServeConfig::default()).expect("start");
@@ -328,29 +346,97 @@ fn repeated_simulates_memoize_the_decoder_tables() {
     let req = job(JobOp::Simulate, "memo", &source, "stream", 0);
 
     let first = roundtrip(&mut connect(server.local_addr()), &req);
-    let second = roundtrip(&mut connect(server.local_addr()), &req);
-    assert_eq!(first, second, "simulate responses must be deterministic");
     assert!(String::from_utf8_lossy(&first).contains("\"blocks_decoded\""));
-
-    // Satellite 3: the second simulate reuses the memoized codec
-    // instead of rebuilding LUT/interleaved tables, and the win is
-    // visible in the decode.* counters.
-    assert_eq!(
-        server.registry().counter("decode.codec_memo_misses").get(),
-        1,
-        "exactly one codec build"
-    );
-    assert_eq!(
-        server.registry().counter("decode.codec_memo_hits").get(),
-        1,
-        "second simulate hits the memo"
-    );
-    // Both simulates really decoded blocks (the memo did not skip
-    // decode work, only table construction).
-    let blocks = server.registry().counter("decode.blocks_decoded").get();
+    let executed = server.registry().counter("serve.jobs_executed").get();
+    let hits = server.registry().counter("serve.memo_hits").get();
+    assert_eq!(executed, 1, "the first simulate runs a job");
     assert!(
-        blocks > 0,
-        "decode counters must accumulate across requests"
+        server.registry().counter("decode.blocks_decoded").get() > 0,
+        "the first simulate really decoded blocks"
+    );
+
+    // The repeat is one memo lookup: the same bytes, no second job.
+    let second = roundtrip(&mut connect(server.local_addr()), &req);
+    assert_eq!(first, second, "memoized response must be byte-identical");
+    assert_eq!(
+        server.registry().counter("serve.jobs_executed").get(),
+        executed
+    );
+    assert_eq!(server.registry().counter("serve.memo_hits").get(), hits + 1);
+    let addr = server.local_addr();
+    assert_eq!(gauge(addr, "serve.memo_entries"), Some(1.0));
+    assert_eq!(gauge(addr, "serve.memo_bytes"), Some(first.len() as f64));
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn simulate_echoes_each_requests_own_seed() {
+    let server = start_uncached(ServeConfig::default());
+    let source = small_source(56);
+    let mut c = connect(server.local_addr());
+    let mut replies = Vec::new();
+    for seed in [3, 4, 3] {
+        let reply = roundtrip(
+            &mut c,
+            &job(JobOp::Simulate, "seeds", &source, "full", seed),
+        );
+        let v = parse_json(std::str::from_utf8(&reply).unwrap()).unwrap();
+        assert_eq!(v.get("seed").and_then(|s| s.as_f64()), Some(seed as f64));
+        replies.push(reply);
+    }
+    // Seeds key separate responses; a repeated seed is a memo hit.
+    assert_ne!(replies[0], replies[1]);
+    assert_eq!(replies[0], replies[2]);
+    assert_eq!(server.registry().counter("serve.jobs_executed").get(), 2);
+    assert_eq!(server.registry().counter("serve.memo_hits").get(), 1);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn response_memo_stays_within_its_byte_budget() {
+    let server = start_uncached(ServeConfig::default());
+    let addr = server.local_addr();
+    let source = small_source(57);
+    let mut c = connect(addr);
+    // Compile replies echo the program name, so long names make large
+    // replies from cheap jobs: just over an eighth of the budget each,
+    // so the memo holds seven.
+    let req = |i: usize| {
+        let name = format!("{i}-{}", "n".repeat(MEMO_BUDGET / 8));
+        job(JobOp::Compile, &name, &source, "full", 0)
+    };
+    let counter = |name: &str| server.registry().counter(name).get();
+    let mut total = 0;
+    for i in 0..7 {
+        let reply = roundtrip(&mut c, &req(i));
+        assert!(String::from_utf8_lossy(&reply[..16]).contains("\"ok\":true"));
+        total += reply.len();
+    }
+    assert_eq!(counter("serve.memo_evictions"), 0, "seven fit");
+    // A hit on 0 makes 1 the least recently used, so 7 evicts 1.
+    roundtrip(&mut c, &req(0));
+    assert_eq!(counter("serve.memo_hits"), 1);
+    total += roundtrip(&mut c, &req(7)).len();
+    assert!(total > MEMO_BUDGET, "the replies overflow the budget");
+    assert_eq!(counter("serve.memo_evictions"), 1);
+    let bytes = gauge(addr, "serve.memo_bytes").expect("memo_bytes gauge");
+    assert!(
+        bytes > 0.0 && bytes <= MEMO_BUDGET as f64,
+        "memo_bytes {bytes}"
+    );
+    assert_eq!(gauge(addr, "serve.memo_entries"), Some(7.0));
+
+    roundtrip(&mut c, &req(0));
+    assert_eq!(counter("serve.memo_hits"), 2, "0 survived the eviction");
+    roundtrip(&mut c, &req(1));
+    assert_eq!(
+        counter("serve.jobs_executed"),
+        9,
+        "1 was evicted and runs again"
     );
 
     server.shutdown();
@@ -389,13 +475,7 @@ fn malformed_frames_get_typed_errors_and_never_kill_the_daemon() {
     let mut c = connect(addr);
     write_frame(&mut c, b"this is not json").unwrap();
     let resp = read_frame(&mut c).unwrap().expect("error response");
-    let v = parse_json(std::str::from_utf8(&resp).unwrap()).unwrap();
-    assert_eq!(
-        v.get("error")
-            .and_then(|e| e.get("kind"))
-            .and_then(|k| k.as_str()),
-        Some("bad_json")
-    );
+    assert_eq!(error_kind(&resp).as_deref(), Some("bad_json"));
     // Same connection still serves valid requests afterwards.
     let pong = roundtrip(&mut c, &Request::Ping);
     assert!(String::from_utf8_lossy(&pong).contains("pong"));
