@@ -49,9 +49,12 @@ use crate::Prepared;
 use cache::{ArtifactCache, CacheKey, Lookup};
 use ccc_core::failpoint::{sites, Failpoints};
 use ccc_core::schemes::base::encode_base;
-use ccc_core::schemes::CompressError;
+use ccc_core::schemes::{CompressError, SchemeOutput};
 use ccc_core::{CompressionReport, EncodedProgram, RetryPolicy, CODEC_VERSION};
-use ccc_telemetry::{Clock, MonotonicClock, SharedSink, Sleeper, ThreadSleeper, TraceEvent};
+use ccc_telemetry::{
+    Clock, MonotonicClock, SharedSink, Sleeper, ThreadSleeper, TraceEvent, TraceSink,
+};
+use ifetch_sim::{simulate_with, DecodeStats, EncodingClass, FetchConfig, FetchResult, Probes};
 use pool::JobPanic;
 use std::fmt;
 use std::io;
@@ -475,11 +478,8 @@ impl Engine {
         }
     }
 
-    /// Allocates a fresh non-zero causal span id. Public so callers
-    /// that record their own spans into the engine's sink (the CLI's
-    /// `simulate` span, say) draw from the same id space and never
-    /// collide with the engine's stage spans.
-    pub fn next_span_id(&self) -> u64 {
+    /// Allocates a fresh non-zero causal span id.
+    fn next_span_id(&self) -> u64 {
         self.span_ids.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -810,19 +810,11 @@ impl Engine {
         build: impl FnOnce() -> Result<T, PrepareError>,
     ) -> Result<T, PrepareError> {
         if let Some(cache) = &self.cache {
-            // Only pay for clock reads on the probe when someone listens.
-            let probe_start = self.sink.as_ref().map(|_| self.clock.now_ns());
+            let probe_start = self.span_start();
             let looked = self.probe_with_retry(cache, key);
-            if let (Some(sink), Some(start)) = (&self.sink, probe_start) {
-                sink.record(TraceEvent::Span {
-                    name: "cache-probe",
-                    detail: format!("{}/{}", kind.name(), key.label),
-                    id: self.next_span_id(),
-                    parent: pool::current_span(),
-                    start_ns: start,
-                    dur_ns: self.clock.now_ns().saturating_sub(start),
-                });
-            }
+            self.record_span("cache-probe", probe_start, || {
+                format!("{}/{}", kind.name(), key.label)
+            });
             match looked {
                 Lookup::Hit(payload) => match decode(&payload) {
                     Ok(v) => {
@@ -964,21 +956,73 @@ impl Engine {
             &key,
             ccc_core::encoded_from_bytes,
             ccc_core::encoded_to_bytes,
-            || {
-                let s = scheme_by_name(scheme).ok_or_else(|| PrepareError::Compress {
-                    scheme: scheme.to_string(),
-                    error: CompressError::Integrity {
-                        detail: "unknown scheme name",
-                    },
-                })?;
-                s.compress(program)
-                    .map(|out| out.image)
-                    .map_err(|error| PrepareError::Compress {
-                        scheme: scheme.to_string(),
-                        error,
-                    })
-            },
+            || encode(scheme, program).map(|out| out.image),
         )
+    }
+
+    /// Runs the fetch simulation of `image`, the tail every simulate
+    /// job shares. The image's own fetch class picks the configuration;
+    /// only a class that decodes on hit gets a codec, rebuilt by
+    /// re-encoding `program` under the image's scheme. `failpoints` arm
+    /// that codec's LUT fast path. With a trace sink attached, the codec
+    /// build and the simulation each record a span (`codec`, `simulate`;
+    /// detail `<name>/<scheme>`) and the fetch loop records its events
+    /// into the same sink.
+    ///
+    /// # Errors
+    ///
+    /// [`PrepareError::Compress`] when the codec cannot be rebuilt.
+    pub fn simulate(
+        &self,
+        name: &str,
+        program: &Program,
+        image: &EncodedProgram,
+        trace: &BlockTrace,
+        failpoints: Option<&Failpoints>,
+    ) -> Result<(FetchResult, DecodeStats), PrepareError> {
+        let scheme = image.kind.name();
+        let detail = || format!("{name}/{scheme}");
+        let class = EncodingClass::of(&image.kind);
+        let codec = if class.decodes_on_hit() {
+            let start = self.span_start();
+            let codec = encode(scheme, program)?.codec;
+            self.record_span("codec", start, detail);
+            Some(codec)
+        } else {
+            None
+        };
+        let mut sink = self.sink.clone();
+        let probes = Probes {
+            codec: codec.as_deref(),
+            failpoints,
+            sink: sink.as_mut().map(|s| s as &mut dyn TraceSink),
+            ..Probes::default()
+        };
+        let start = self.span_start();
+        let out = simulate_with(program, image, trace, &FetchConfig::of_class(class), probes);
+        self.record_span("simulate", start, detail);
+        Ok(out)
+    }
+
+    /// The start of a span: now, but only when a sink listens, so an
+    /// untraced engine pays no clock reads.
+    fn span_start(&self) -> Option<u64> {
+        self.sink.as_ref().map(|_| self.clock.now_ns())
+    }
+
+    /// Records a span from `start` to now, parented to the running pool
+    /// task's span; a no-op without a sink.
+    fn record_span(&self, name: &'static str, start: Option<u64>, detail: impl FnOnce() -> String) {
+        if let (Some(sink), Some(start)) = (&self.sink, start) {
+            sink.record(TraceEvent::Span {
+                name,
+                detail: detail(),
+                id: self.next_span_id(),
+                parent: pool::current_span(),
+                start_ns: start,
+                dur_ns: self.clock.now_ns().saturating_sub(start),
+            });
+        }
     }
 
     /// The full cross-scheme [`CompressionReport`] for `program`
@@ -1005,9 +1049,10 @@ impl Engine {
     }
 
     /// Panics the current pool job if the `pool.job` failpoint fires.
-    /// Called at the top of every task the engine dispatches; the
-    /// isolated pool catches the panic and the engine re-runs the job.
-    fn pool_job_admission(&self) {
+    /// Called at the top of every task the engine dispatches, where the
+    /// isolated pool catches the panic and the engine re-runs the job,
+    /// and of every daemon job, which answers `internal` instead.
+    pub(crate) fn pool_job_admission(&self) {
         if self.failpoints.check(sites::POOL_JOB).is_some() {
             panic!("injected failpoint: pool.job");
         }
@@ -1297,6 +1342,22 @@ impl Engine {
     }
 }
 
+/// Encodes `program` under the scheme named `scheme`.
+fn encode(scheme: &str, program: &Program) -> Result<SchemeOutput, PrepareError> {
+    let compress_error = |error| PrepareError::Compress {
+        scheme: scheme.to_string(),
+        error,
+    };
+    scheme_by_name(scheme)
+        .ok_or_else(|| {
+            compress_error(CompressError::Integrity {
+                detail: "unknown scheme name",
+            })
+        })?
+        .compress(program)
+        .map_err(compress_error)
+}
+
 /// Stable textual fingerprint of the compiler options that affect
 /// generated code (part of every cache key).
 fn options_fingerprint(o: &lego::Options) -> String {
@@ -1443,6 +1504,39 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn simulate_decodes_only_on_hit_classes_and_records_its_spans() {
+        let sink = SharedSink::new(1 << 20);
+        let eng = Engine::uncached(1).with_trace_sink(sink.clone());
+        let p = eng.prepare(&[GOOD]).unwrap().remove(0);
+        sink.drain();
+        for (scheme, img) in p.images().chain([("base", &p.base_img)]) {
+            let (r, stats) = eng
+                .simulate("good", &p.program, img, &p.trace, None)
+                .unwrap();
+            let class = EncodingClass::of(&img.kind);
+            let cfg = FetchConfig::of_class(class);
+            let plain = ifetch_sim::simulate(&p.program, img, &p.trace, &cfg);
+            assert_eq!(r, plain, "{scheme}");
+            assert_eq!(stats.blocks_decoded, r.buffer_misses, "{scheme}");
+            assert_eq!(stats.decode_errors, 0, "{scheme}");
+            let spans: Vec<_> = sink
+                .drain()
+                .into_iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Span { name, detail, .. } => Some((name, detail)),
+                    TraceEvent::Fetch { .. } => None,
+                })
+                .collect();
+            let detail = format!("good/{scheme}");
+            let mut want = vec![("simulate", detail.clone())];
+            if class.decodes_on_hit() {
+                want.insert(0, ("codec", detail));
+            }
+            assert_eq!(spans, want, "{scheme}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use ccc_core::schemes::stream::{StreamConfig, StreamScheme};
 use ccc_core::schemes::{pair::PairScheme, Scheme, SchemeOutput};
 use ccc_core::{CompressionReport, EncodedProgram};
 use ifetch_sim::{
-    simulate, simulate_with_units, EncodingClass, FetchConfig, FetchUnits, PredictorKind,
+    simulate, simulate_with, EncodingClass, FetchConfig, FetchUnits, PredictorKind, Probes,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -897,10 +897,17 @@ pub fn ext_complex_units(prepared: &[Prepared]) -> String {
         let units = FetchUnits::form(&p.program, &p.trace, 0.8);
         let cfg_t = FetchConfig::scaled(EncodingClass::Tailored, code);
         let cfg_b = FetchConfig::scaled(EncodingClass::Base, code);
+        let with_units = |img, cfg| {
+            let probes = Probes {
+                units: Some(&units),
+                ..Probes::default()
+            };
+            simulate_with(&p.program, img, &p.trace, cfg, probes).0
+        };
         let tb = simulate(&p.program, &p.tailored_img, &p.trace, &cfg_t);
-        let tu = simulate_with_units(&p.program, &p.tailored_img, &p.trace, &cfg_t, &units);
+        let tu = with_units(&p.tailored_img, &cfg_t);
         let bb = simulate(&p.program, &p.base_img, &p.trace, &cfg_b);
-        let bu = simulate_with_units(&p.program, &p.base_img, &p.trace, &cfg_b, &units);
+        let bu = with_units(&p.base_img, &cfg_b);
         tail_gain.push(tu.ipc() / tb.ipc() - 1.0);
         rows.push(vec![
             p.workload.name.to_string(),

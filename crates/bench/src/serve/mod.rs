@@ -26,18 +26,15 @@ pub mod proto;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ccc_core::schemes::Scheme;
 use ccc_core::{crc32, encoded_to_bytes, Failpoints};
 use ccc_telemetry::{json, MetricsRegistry};
-use ifetch_sim::{
-    simulate, simulate_decoded, simulate_decoded_injected, DecodeStats, EncodingClass, FetchConfig,
-    FetchResult,
-};
+use ifetch_sim::{DecodeStats, FetchResult};
 
 use crate::engine::{pool, scheme_by_name, Engine};
 use proto::{read_frame, write_frame, ErrKind, FrameError, JobOp, JobRequest, Request, WireError};
@@ -357,7 +354,18 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 let shared = Arc::clone(shared);
                 Box::new(move || {
                     shared.registry.counter("serve.jobs_executed").inc();
-                    let result = execute_job(&shared, &job.req).map(Arc::<str>::from);
+                    // A panicking job must still deregister its flight
+                    // and fill its slot, or every coalesced waiter (and
+                    // the dispatcher) would hang on it.
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        shared.engine.pool_job_admission();
+                        execute_job(&shared, &job.req)
+                    }))
+                    .unwrap_or_else(|payload| {
+                        let msg = format!("job panicked: {}", pool::panic_message(&*payload));
+                        Err(WireError::new(ErrKind::Internal, msg))
+                    })
+                    .map(Arc::<str>::from);
                     // Memoize (never an error), then deregister the
                     // flight, then fill the slot. Admission reads the
                     // memo under the flights lock, so a later request
@@ -470,8 +478,9 @@ const LATENCY_BOUNDS: [u64; 12] = [
 /// claim the flight and enqueue — unless the queue is full (`busy`).
 /// Blocks until the flight's result is filled.
 fn admit_job(shared: &Arc<Shared>, req: JobRequest) -> Result<Arc<str>, WireError> {
-    if req.op != JobOp::Compile {
-        scheme(&req.scheme)?;
+    if req.op != JobOp::Compile && scheme_by_name(&req.scheme).is_none() {
+        let msg = format!("unknown scheme {:?}", req.scheme);
+        return Err(WireError::new(ErrKind::UnknownScheme, msg));
     }
     if shared.draining() {
         return Err(draining_error(shared));
@@ -517,11 +526,6 @@ fn admit_job(shared: &Arc<Shared>, req: JobRequest) -> Result<Arc<str>, WireErro
         }
     };
     slot.wait()
-}
-
-fn scheme(name: &str) -> Result<Box<dyn Scheme>, WireError> {
-    scheme_by_name(name)
-        .ok_or_else(|| WireError::new(ErrKind::UnknownScheme, format!("unknown scheme {name:?}")))
 }
 
 fn draining_error(shared: &Shared) -> WireError {
@@ -610,28 +614,12 @@ fn execute_job(shared: &Arc<Shared>, req: &JobRequest) -> Result<String, WireErr
             let image = engine
                 .image(&req.name, &req.source, &opts, &req.scheme, &program)
                 .map_err(|e| WireError::new(ErrKind::CompressError, e.to_string()))?;
-            // The image's fetch class picks the configuration and whether
-            // a codec rides the hit path (mirrors the CLI's trace cmd).
-            let class = EncodingClass::of(&image.kind);
-            let cfg = FetchConfig::of_class(class);
-            let (result, dstats) = if class.decodes_on_hit() {
-                let codec = scheme(&req.scheme)?
-                    .compress(&program)
-                    .map_err(|e| WireError::new(ErrKind::CompressError, e.to_string()))?
-                    .codec;
-                if req.op == JobOp::Faultsim {
-                    let fp = Failpoints::from_spec(FAULTSIM_SPEC, req.seed)
-                        .map_err(|e| WireError::new(ErrKind::Internal, e.to_string()))?;
-                    simulate_decoded_injected(&program, &image, &trace, &cfg, codec.as_ref(), &fp)
-                } else {
-                    simulate_decoded(&program, &image, &trace, &cfg, codec.as_ref())
-                }
-            } else {
-                (
-                    simulate(&program, &image, &trace, &cfg),
-                    DecodeStats::default(),
-                )
-            };
+            let fp = (req.op == JobOp::Faultsim).then(|| {
+                Failpoints::from_spec(FAULTSIM_SPEC, req.seed).expect("FAULTSIM_SPEC parses")
+            });
+            let (result, dstats) = engine
+                .simulate(&req.name, &program, &image, &trace, fp.as_ref())
+                .map_err(|e| WireError::new(ErrKind::CompressError, e.to_string()))?;
             dstats.record_metrics(&shared.registry);
             Ok(render_sim(req, &result, &dstats))
         }

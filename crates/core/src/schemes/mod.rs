@@ -581,8 +581,17 @@ mod tests {
 
     #[test]
     fn by_name_instantiates_every_named_scheme() {
+        let p = testutil::sample_program();
         for name in MATRIX.iter().chain(&["base"]) {
             assert_eq!(by_name(name).map(|s| s.name()).as_deref(), Some(*name));
+            // An image names the scheme that re-encodes it identically
+            // (the engine rebuilds a codec from `image.kind` this way).
+            let out = by_name(name).unwrap().compress(&p).unwrap();
+            let again = by_name(out.image.kind.name())
+                .unwrap()
+                .compress(&p)
+                .unwrap();
+            assert_eq!(again.image, out.image, "{name}");
         }
         assert!(by_name("no-such-scheme").is_none());
     }

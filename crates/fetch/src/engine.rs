@@ -9,6 +9,7 @@ use crate::cache::{BankedCache, CacheConfig};
 use crate::gshare::Gshare;
 use crate::penalty::{Outcome, PenaltyTable};
 use crate::power::BusModel;
+use crate::units::FetchUnits;
 use ccc_core::failpoint::{sites, Failpoints};
 use ccc_core::schemes::{BlockCodec, BlockDecodeError, BlockRequest};
 use ccc_core::{AddressTranslationTable, EncodedProgram, SchemeKind};
@@ -278,8 +279,8 @@ impl FetchResult {
     }
 }
 
-/// Decompressor activity observed when a [`BlockCodec`] rides along via
-/// [`simulate_decoded`]. The decompressor engages on every L0 buffer
+/// Decompressor activity observed when a [`BlockCodec`] rides along as
+/// [`Probes::codec`]. The decompressor engages on every L0 buffer
 /// miss of the Compressed class (paper §4: the buffer sits in front of
 /// it precisely to keep it off the common path), so these counters
 /// measure how much actual Huffman decode work the fetch path performs.
@@ -322,84 +323,57 @@ impl DecodeStats {
     }
 }
 
+/// The optional probes a simulation carries. Every field defaults to
+/// `None`, which is the plain run of [`simulate`]; none of them changes
+/// the [`FetchResult`] of a clean image.
+#[derive(Default)]
+pub struct Probes<'a> {
+    /// The Address Translation Table the fetch path checks the image
+    /// against; built from the image when `None`. The table carries the
+    /// integrity metadata (per-block parity, entry CRC-8) the compiler
+    /// recorded, so passing the clean-build table against a corrupted
+    /// image is how fault-injection studies observe
+    /// [`FetchResult::integrity_faults`].
+    pub att: Option<&'a AddressTranslationTable>,
+    /// The real decompressor on the fetch path: whenever the Compressed
+    /// class misses the L0 buffer, the fetched blocks are decoded
+    /// through it and checked against the program. Cycle accounting is
+    /// untouched — Table 1 already prices the decompressor — and the
+    /// returned [`DecodeStats`] report the decode work and any
+    /// corruption it caught.
+    pub codec: Option<&'a dyn BlockCodec>,
+    /// A registry armed on the LUT decode fast path (site `decode.lut`):
+    /// each injected fault forces the primary decode to error,
+    /// exercising the one-shot fallback to the bit-serial reference
+    /// decoder, which [`DecodeStats::reference_fallbacks`] counts.
+    pub failpoints: Option<&'a Failpoints>,
+    /// Receives one structured event per pipeline event (cache hit/miss
+    /// with its bank, ATB hit/miss, predictor outcome, L0 hit/fill,
+    /// decode stall, integrity fault), stamped with the simulated cycle.
+    /// Before returning, the engine asserts that the traced event counts
+    /// reconcile exactly with the result's own counters.
+    pub sink: Option<&'a mut dyn TraceSink>,
+    /// Complex fetch units (paper §7): on entering a unit, at its head
+    /// or through a side entrance, the range from the entry block to the
+    /// unit end is fetched atomically, and blocks stream with no further
+    /// prediction until the trace leaves that range.
+    pub units: Option<&'a FetchUnits>,
+}
+
 /// Runs one configuration over a program, its encoded image and its
-/// dynamic trace. The ATT is built from the image as given — for fault
-/// studies where the ROM image may differ from what the compiler saw,
-/// use [`simulate_with_att`] with the compile-time table.
+/// dynamic trace, with no probes attached.
 pub fn simulate(
     program: &Program,
     image: &EncodedProgram,
     trace: &BlockTrace,
     config: &FetchConfig,
 ) -> FetchResult {
-    let att = AddressTranslationTable::build(program, image);
-    simulate_with_att(program, image, &att, trace, config)
+    simulate_with(program, image, trace, config, Probes::default()).0
 }
 
-/// [`simulate`] with an explicit Address Translation Table. The table
-/// carries the integrity metadata (per-block parity, entry CRC-8) the
-/// compiler recorded; passing the clean-build table against a corrupted
-/// `image` is how fault-injection studies observe `integrity_faults`.
-pub fn simulate_with_att(
-    program: &Program,
-    image: &EncodedProgram,
-    att: &AddressTranslationTable,
-    trace: &BlockTrace,
-    config: &FetchConfig,
-) -> FetchResult {
-    simulate_inner(program, image, att, trace, config, None, None, None)
-}
-
-/// [`simulate`] with structured event tracing: every per-block pipeline
-/// event (cache hit/miss with its bank, ATB hit/miss, predictor
-/// outcome, L0 hit/fill, decode stall, integrity fault) is recorded
-/// into `sink`, stamped with the simulated cycle. The [`FetchResult`]
-/// is **identical** to the untraced run — tracing observes, never
-/// steers — and before returning, the engine asserts that the traced
-/// event counts reconcile exactly with the result's own counters.
-pub fn simulate_traced(
-    program: &Program,
-    image: &EncodedProgram,
-    trace: &BlockTrace,
-    config: &FetchConfig,
-    sink: &mut dyn TraceSink,
-) -> FetchResult {
-    let att = AddressTranslationTable::build(program, image);
-    simulate_inner(program, image, &att, trace, config, None, None, Some(sink))
-}
-
-/// [`simulate_decoded`] with structured event tracing — see
-/// [`simulate_traced`]. Both the [`FetchResult`] and the
-/// [`DecodeStats`] are identical to the untraced run.
-pub fn simulate_decoded_traced(
-    program: &Program,
-    image: &EncodedProgram,
-    trace: &BlockTrace,
-    config: &FetchConfig,
-    codec: &dyn BlockCodec,
-    sink: &mut dyn TraceSink,
-) -> (FetchResult, DecodeStats) {
-    let att = AddressTranslationTable::build(program, image);
-    let mut stats = DecodeStats::default();
-    let r = simulate_inner(
-        program,
-        image,
-        &att,
-        trace,
-        config,
-        Some((codec, &mut stats)),
-        None,
-        Some(sink),
-    );
-    (r, stats)
-}
-
-/// [`simulate`] with the real decompressor on the fetch path: whenever
-/// the Compressed class misses the L0 buffer, the block is actually
-/// decoded through `codec` and checked against the program. Cycle
-/// accounting is untouched — Table 1 already prices the decompressor —
-/// so the [`FetchResult`] is identical to [`simulate`]'s; the extra
-/// [`DecodeStats`] report the decode work and any corruption it caught.
+/// [`simulate_with`] with a codec. Kept only because the benchmark
+/// harness (`perfbench/`) imports it by this name; everything else calls
+/// [`simulate_with`].
 pub fn simulate_decoded(
     program: &Program,
     image: &EncodedProgram,
@@ -407,28 +381,16 @@ pub fn simulate_decoded(
     config: &FetchConfig,
     codec: &dyn BlockCodec,
 ) -> (FetchResult, DecodeStats) {
-    let att = AddressTranslationTable::build(program, image);
-    let mut stats = DecodeStats::default();
-    let r = simulate_inner(
-        program,
-        image,
-        &att,
-        trace,
-        config,
-        Some((codec, &mut stats)),
-        None,
-        None,
-    );
-    (r, stats)
+    let probes = Probes {
+        codec: Some(codec),
+        ..Probes::default()
+    };
+    simulate_with(program, image, trace, config, probes)
 }
 
-/// [`simulate_decoded`] with a [`Failpoints`] registry armed on the LUT
-/// decode fast path (site `decode.lut`): each injected fault forces the
-/// primary decode to error, exercising the one-shot fallback to the
-/// bit-serial reference decoder. The [`FetchResult`] is identical to
-/// the clean run's — degradation changes *how* a block is decoded,
-/// never what the fetch path observes — while
-/// [`DecodeStats::reference_fallbacks`] records every rescue.
+/// [`simulate_with`] with a codec and failpoints. Kept only because the
+/// benchmark harness (`perfbench/`) imports it by this name; everything
+/// else calls [`simulate_with`].
 pub fn simulate_decoded_injected(
     program: &Program,
     image: &EncodedProgram,
@@ -437,19 +399,12 @@ pub fn simulate_decoded_injected(
     codec: &dyn BlockCodec,
     failpoints: &Failpoints,
 ) -> (FetchResult, DecodeStats) {
-    let att = AddressTranslationTable::build(program, image);
-    let mut stats = DecodeStats::default();
-    let r = simulate_inner(
-        program,
-        image,
-        &att,
-        trace,
-        config,
-        Some((codec, &mut stats)),
-        Some(failpoints),
-        None,
-    );
-    (r, stats)
+    let probes = Probes {
+        codec: Some(codec),
+        failpoints: Some(failpoints),
+        ..Probes::default()
+    };
+    simulate_with(program, image, trace, config, probes)
 }
 
 /// One block through the decompressor with the healing protocol every
@@ -515,8 +470,8 @@ fn note_decoded(
 
 /// Decodes every block of `image` through one
 /// [`BlockCodec::decode_batch`] call — the interleaved throughput tier
-/// (DESIGN.md §15) — under the same healing protocol as
-/// [`simulate_decoded`]: blocks whose armed `decode.lut` failpoint
+/// (DESIGN.md §15) — under the same healing protocol as a
+/// [`Probes::codec`] run: blocks whose armed `decode.lut` failpoint
 /// fires are rerouted to the bit-serial reference decoder before the
 /// batch is formed, batch lanes that error take the same one-shot
 /// reference retry, and every decode is checked against the program.
@@ -591,18 +546,33 @@ impl Tracer<'_> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn simulate_inner(
+/// Runs one configuration over a program, its encoded image and its
+/// dynamic trace, with the given [`Probes`] attached — the one fetch
+/// loop every `simulate*` call runs.
+///
+/// The loop walks *fetch spans*: the block alone, or, when
+/// [`Probes::units`] are given, the run of the trace that streams
+/// sequentially inside that block's unit. Each span is one ATB lookup,
+/// one L0/cache access over its fetched range and one prediction from
+/// its last block. Traced and decoded runs return the same
+/// [`FetchResult`] as the plain run — probes observe, never steer.
+pub fn simulate_with(
     program: &Program,
     image: &EncodedProgram,
-    att: &AddressTranslationTable,
     trace: &BlockTrace,
     config: &FetchConfig,
-    mut decode: Option<(&dyn BlockCodec, &mut DecodeStats)>,
-    failpoints: Option<&Failpoints>,
-    sink: Option<&mut dyn TraceSink>,
-) -> FetchResult {
-    let mut tracer = sink.map(|sink| Tracer {
+    probes: Probes<'_>,
+) -> (FetchResult, DecodeStats) {
+    let built;
+    let att = match probes.att {
+        Some(att) => att,
+        None => {
+            built = AddressTranslationTable::build(program, image);
+            &built
+        }
+    };
+    let mut stats = DecodeStats::default();
+    let mut tracer = probes.sink.map(|sink| Tracer {
         sink,
         counts: EventCounts::default(),
     });
@@ -638,19 +608,39 @@ fn simulate_inner(
         integrity_faults: 0,
     };
 
-    // What the previous block's predictor said the current block would be
+    // What the previous span's predictor said the current block would be
     // (None for the very first block: treated as predicted — cold start).
     let mut predicted_cur: Option<u32> = None;
 
+    let blocks = trace.blocks();
+    let mut i = 0usize;
     let mut seq = 0u64;
-    for (cur, next) in trace.transitions() {
+    while i < blocks.len() {
         seq += 1;
-        let info = &program.blocks()[cur as usize];
-        r.ops += info.num_ops as u64;
-        r.mops += info.num_mops as u64;
+        let cur = blocks[i];
+        // The fetched range is [cur, fetch_end): the block alone, or up
+        // to its unit's end — the unit is the placement granule, so
+        // over-fetch past the span's last block is real cost.
+        let fetch_end = probes.units.map_or(cur + 1, |u| {
+            let (first, len) = u.unit(u.unit_of(cur));
+            first + len
+        });
+        let mut span = 1u32;
+        while cur + span < fetch_end && blocks.get(i + span as usize) == Some(&(cur + span)) {
+            span += 1;
+        }
+        let last = cur + span - 1;
+        i += span as usize;
+        let next = blocks.get(i).copied();
+        let (span_ops, span_mops) = (cur..=last).fold((0u64, 0u64), |(ops, mops), b| {
+            let info = &program.blocks()[b as usize];
+            (ops + info.num_ops as u64, mops + info.num_mops as u64)
+        });
+        r.ops += span_ops;
+        r.mops += span_mops;
 
         if config.class == EncodingClass::Ideal {
-            r.cycles += info.num_mops as u64;
+            r.cycles += span_mops;
             continue;
         }
 
@@ -699,41 +689,44 @@ fn simulate_inner(
             }
         }
 
-        let (start, end) = image.block_range(cur as usize);
+        let (start, _) = image.block_range(cur as usize);
+        let (_, end) = image.block_range(fetch_end as usize - 1);
         let lines = config.cache.lines_spanned(start, end);
 
         // The L0 buffer has priority over the main cache (paper §4): a
         // buffer hit never touches the cache or the bus.
-        let buffer_hit = compressed && buffer.access(cur, info.num_ops as u32);
+        let fill_ops = u32::try_from(span_ops).unwrap_or(u32::MAX);
+        let buffer_hit = compressed && buffer.access(cur, fill_ops);
         if compressed {
             if let Some(t) = tracer.as_mut() {
                 let kind = if buffer_hit {
                     FetchEventKind::L0Hit
                 } else {
-                    FetchEventKind::L0Fill {
-                        ops: info.num_ops as u32,
-                    }
+                    FetchEventKind::L0Fill { ops: fill_ops }
                 };
                 t.fetch(seq, r.cycles, cur, kind);
             }
         }
         if compressed && !buffer_hit {
-            // The decompressor engages: the block's compressed bits —
+            // The decompressor engages: the span's compressed bits —
             // whether they come from the cache or from memory — are
             // decoded into the buffer before ops can issue.
-            if let Some((codec, stats)) = decode.as_mut() {
-                let _ = decode_block_healed(
-                    *codec,
-                    program,
-                    image,
-                    cur as usize,
-                    info.num_ops,
-                    stats,
-                    failpoints,
-                );
+            if let Some(codec) = probes.codec {
+                for b in cur..=last {
+                    let num_ops = program.blocks()[b as usize].num_ops;
+                    let _ = decode_block_healed(
+                        codec,
+                        program,
+                        image,
+                        b as usize,
+                        num_ops,
+                        &mut stats,
+                        probes.failpoints,
+                    );
+                }
             }
         }
-        // Bank of the block's first line: lines interleave across the
+        // Bank of the span's first line: lines interleave across the
         // two banks of the Figure-8 fetch design.
         let bank = ((start / config.cache.line_bytes as u64) % 2) as u8;
         let cache_hit = if buffer_hit {
@@ -754,15 +747,20 @@ fn simulate_inner(
             for &l in &access.fetched_lines {
                 bus.transfer_line(&image.bytes, l, config.cache.line_bytes);
             }
-            // Lines came in from ROM: check the block payload against
-            // the parity recorded in its ATT entry.
-            if translated
-                && !access.hit
-                && !entry.verify_payload(&image.bytes[start as usize..end as usize])
-            {
-                r.integrity_faults += 1;
-                if let Some(t) = tracer.as_mut() {
-                    t.fetch(seq, r.cycles, cur, FetchEventKind::IntegrityFault);
+            // Lines came in from ROM: check each fetched block's payload
+            // against the parity recorded in its own ATT entry.
+            if translated && !access.hit {
+                for b in cur..fetch_end {
+                    let (s, e) = image.block_range(b as usize);
+                    if !att
+                        .lookup(b as usize)
+                        .verify_payload(&image.bytes[s as usize..e as usize])
+                    {
+                        r.integrity_faults += 1;
+                        if let Some(t) = tracer.as_mut() {
+                            t.fetch(seq, r.cycles, b, FetchEventKind::IntegrityFault);
+                        }
+                    }
                 }
             }
             access.hit
@@ -775,7 +773,7 @@ fn simulate_inner(
         });
         if compressed && !buffer_hit {
             // The Table-1 penalty charged on an L0 fill is the modelled
-            // fetch+decompress stall for this block.
+            // fetch+decompress stall for this span.
             if let Some(t) = tracer.as_mut() {
                 t.fetch(
                     seq,
@@ -787,24 +785,24 @@ fn simulate_inner(
                 );
             }
         }
-        r.cycles += pen.cycles(lines) as u64 + (info.num_mops as u64).saturating_sub(1);
+        r.cycles += pen.cycles(lines) as u64 + span_mops.saturating_sub(1);
 
-        // Predict the next block from this block's entry, then train.
+        // Predict the next span from this span's last block, then train.
         if let Some(n) = next {
             predicted_cur = Some(match &gshare {
                 Some(g) => {
-                    if g.predict_taken(cur) {
-                        atb.last_target(cur).unwrap_or(cur + 1)
+                    if g.predict_taken(last) {
+                        atb.last_target(last).unwrap_or(last + 1)
                     } else {
-                        cur + 1
+                        last + 1
                     }
                 }
-                None => atb.predict_next(cur),
+                None => atb.predict_next(last),
             });
             if let Some(g) = &mut gshare {
-                g.train(cur, n != cur + 1);
+                g.train(last, n != last + 1);
             }
-            atb.train(cur, n);
+            atb.train(last, n);
         }
     }
 
@@ -842,14 +840,14 @@ fn simulate_inner(
             );
         }
     }
-    r
+    (r, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccc_core::schemes::{
-        base::encode_base, full::FullScheme, tailored::TailoredScheme, Scheme,
+        base::encode_base, full::FullScheme, tailored::TailoredScheme, Scheme, SchemeOutput,
     };
     use yula::{Emulator, Limits};
 
@@ -874,6 +872,38 @@ mod tests {
             tail_img,
             comp_img,
         }
+    }
+
+    /// A run with `out`'s codec on the fetch path (and `fp` armed on it).
+    fn decoded_run(
+        s: &Setup,
+        img: &EncodedProgram,
+        cfg: &FetchConfig,
+        out: &SchemeOutput,
+        fp: Option<&Failpoints>,
+    ) -> (FetchResult, DecodeStats) {
+        let probes = Probes {
+            codec: Some(out.codec.as_ref()),
+            failpoints: fp,
+            ..Probes::default()
+        };
+        simulate_with(&s.program, img, &s.trace, cfg, probes)
+    }
+
+    /// A traced run with no codec (its decode stats stay empty).
+    fn traced_run(
+        s: &Setup,
+        img: &EncodedProgram,
+        cfg: &FetchConfig,
+        sink: &mut dyn TraceSink,
+    ) -> FetchResult {
+        let probes = Probes {
+            sink: Some(sink),
+            ..Probes::default()
+        };
+        let (r, stats) = simulate_with(&s.program, img, &s.trace, cfg, probes);
+        assert_eq!(stats, DecodeStats::default());
+        r
     }
 
     fn loopy() -> Setup {
@@ -1034,19 +1064,18 @@ mod tests {
         let (start, _) = s.comp_img.block_range(hot);
         let mut bad = s.comp_img.clone();
         bad.bytes[start as usize] ^= 0x40;
-        let r = simulate_with_att(&s.program, &bad, &att, &s.trace, &FetchConfig::compressed());
+        let probes = || Probes {
+            att: Some(&att),
+            ..Probes::default()
+        };
+        let cfg = FetchConfig::compressed();
+        let (r, _) = simulate_with(&s.program, &bad, &s.trace, &cfg, probes());
         assert!(
             r.integrity_faults > 0,
             "flipped payload bit must fail parity on the miss path"
         );
         // The clean image against its own table stays silent.
-        let ok = simulate_with_att(
-            &s.program,
-            &s.comp_img,
-            &att,
-            &s.trace,
-            &FetchConfig::compressed(),
-        );
+        let (ok, _) = simulate_with(&s.program, &s.comp_img, &s.trace, &cfg, probes());
         assert_eq!(ok.integrity_faults, 0);
     }
 
@@ -1057,13 +1086,12 @@ mod tests {
         let hot = s.trace.transitions().next().unwrap().0 as usize;
         // Corrupt the stored entry without refreshing its CRC-8.
         att.entries_mut()[hot].num_mops ^= 1;
-        let r = simulate_with_att(
-            &s.program,
-            &s.comp_img,
-            &att,
-            &s.trace,
-            &FetchConfig::compressed(),
-        );
+        let probes = Probes {
+            att: Some(&att),
+            ..Probes::default()
+        };
+        let cfg = FetchConfig::compressed();
+        let (r, _) = simulate_with(&s.program, &s.comp_img, &s.trace, &cfg, probes);
         assert!(
             r.integrity_faults > 0,
             "corrupt entry must fail its self-check when the ATB loads it"
@@ -1075,13 +1103,7 @@ mod tests {
         let s = loopy();
         let out = FullScheme::default().compress(&s.program).unwrap();
         let plain = simulate(&s.program, &out.image, &s.trace, &FetchConfig::compressed());
-        let (decoded, stats) = simulate_decoded(
-            &s.program,
-            &out.image,
-            &s.trace,
-            &FetchConfig::compressed(),
-            out.codec.as_ref(),
-        );
+        let (decoded, stats) = decoded_run(&s, &out.image, &FetchConfig::compressed(), &out, None);
         // Decoding rides along without disturbing any accounting.
         assert_eq!(decoded, plain);
         // Every buffer miss ran the decompressor, and every decode was
@@ -1099,13 +1121,7 @@ mod tests {
         let (start, _) = out.image.block_range(hot);
         let mut bad = out.image.clone();
         bad.bytes[start as usize] ^= 0x40;
-        let (_, stats) = simulate_decoded(
-            &s.program,
-            &bad,
-            &s.trace,
-            &FetchConfig::compressed(),
-            out.codec.as_ref(),
-        );
+        let (_, stats) = decoded_run(&s, &bad, &FetchConfig::compressed(), &out, None);
         assert!(
             stats.decode_errors > 0,
             "flipped payload bit must surface as a decode error"
@@ -1116,22 +1132,10 @@ mod tests {
     fn injected_lut_faults_fall_back_to_reference_decoder() {
         let s = loopy();
         let out = FullScheme::default().compress(&s.program).unwrap();
-        let (clean, clean_stats) = simulate_decoded(
-            &s.program,
-            &out.image,
-            &s.trace,
-            &FetchConfig::compressed(),
-            out.codec.as_ref(),
-        );
+        let cfg = FetchConfig::compressed();
+        let (clean, clean_stats) = decoded_run(&s, &out.image, &cfg, &out, None);
         let fp = ccc_core::Failpoints::from_spec("decode.lut:1.0:error", 7).unwrap();
-        let (healed, stats) = simulate_decoded_injected(
-            &s.program,
-            &out.image,
-            &s.trace,
-            &FetchConfig::compressed(),
-            out.codec.as_ref(),
-            &fp,
-        );
+        let (healed, stats) = decoded_run(&s, &out.image, &cfg, &out, Some(&fp));
         // Every block decode hit the injected fault and degraded to the
         // bit-serial reference path, with no visible effect on the run.
         assert_eq!(healed, clean);
@@ -1222,13 +1226,7 @@ mod tests {
     fn non_compressed_class_never_engages_decompressor() {
         let s = loopy();
         let out = FullScheme::default().compress(&s.program).unwrap();
-        let (_, stats) = simulate_decoded(
-            &s.program,
-            &s.base_img,
-            &s.trace,
-            &FetchConfig::base(),
-            out.codec.as_ref(),
-        );
+        let (_, stats) = decoded_run(&s, &s.base_img, &FetchConfig::base(), &out, None);
         assert_eq!(stats, DecodeStats::default());
     }
 
@@ -1244,7 +1242,7 @@ mod tests {
         ] {
             let plain = simulate(&s.program, img, &s.trace, &cfg);
             let mut ring = RingSink::new(1 << 22);
-            let traced = simulate_traced(&s.program, img, &s.trace, &cfg, &mut ring);
+            let traced = traced_run(&s, img, &cfg, &mut ring);
             assert_eq!(traced, plain, "{:?}: tracing must not steer", cfg.class);
             let c = ring.counts();
             assert_eq!(c.cache_hits, plain.cache_hits, "{:?}", cfg.class);
@@ -1263,7 +1261,7 @@ mod tests {
             }
             // The no-op sink works too (and discards everything).
             let mut noop = NoopSink;
-            let quiet = simulate_traced(&s.program, img, &s.trace, &cfg, &mut noop);
+            let quiet = traced_run(&s, img, &cfg, &mut noop);
             assert_eq!(quiet, plain);
         }
     }
@@ -1273,22 +1271,15 @@ mod tests {
         use ccc_telemetry::RingSink;
         let s = loopy();
         let out = FullScheme::default().compress(&s.program).unwrap();
-        let (plain, plain_stats) = simulate_decoded(
-            &s.program,
-            &out.image,
-            &s.trace,
-            &FetchConfig::compressed(),
-            out.codec.as_ref(),
-        );
+        let cfg = FetchConfig::compressed();
+        let (plain, plain_stats) = decoded_run(&s, &out.image, &cfg, &out, None);
         let mut ring = RingSink::new(1 << 22);
-        let (traced, stats) = simulate_decoded_traced(
-            &s.program,
-            &out.image,
-            &s.trace,
-            &FetchConfig::compressed(),
-            out.codec.as_ref(),
-            &mut ring,
-        );
+        let probes = Probes {
+            codec: Some(out.codec.as_ref()),
+            sink: Some(&mut ring),
+            ..Probes::default()
+        };
+        let (traced, stats) = simulate_with(&s.program, &out.image, &s.trace, &cfg, probes);
         assert_eq!(traced, plain);
         assert_eq!(stats, plain_stats);
         assert_eq!(stats.decode_errors, 0);

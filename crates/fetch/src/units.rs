@@ -10,14 +10,9 @@
 //! works at unit granularity: one translation + one prediction per unit
 //! instead of per block — fewer prediction points and longer streaming
 //! runs, paid for by over-fetch when the trace leaves a unit early.
+//! The one fetch loop walks units when they are passed as
+//! [`crate::Probes::units`].
 
-use crate::atb::Atb;
-use crate::buffer::L0Buffer;
-use crate::cache::BankedCache;
-use crate::engine::{EncodingClass, FetchConfig, FetchResult};
-use crate::penalty::Outcome;
-use crate::power::BusModel;
-use ccc_core::{AddressTranslationTable, EncodedProgram};
 use tepic_isa::Program;
 use yula::BlockTrace;
 
@@ -110,147 +105,55 @@ impl FetchUnits {
     }
 }
 
-/// Simulates fetch with complex units: on entering a unit (at its head
-/// or through a side entrance), the span from the entry block to the
-/// unit end is fetched atomically; blocks stream with no further
-/// prediction until the trace leaves the span.
-pub fn simulate_with_units(
-    program: &Program,
-    image: &EncodedProgram,
-    trace: &BlockTrace,
-    config: &FetchConfig,
-    units: &FetchUnits,
-) -> FetchResult {
-    let att = AddressTranslationTable::build(program, image);
-    let mut atb = Atb::new(config.atb_entries);
-    let mut cache = BankedCache::new(config.cache);
-    let mut buffer = L0Buffer::new(config.l0_ops);
-    let mut bus = BusModel::new();
-    let compressed = config.class == EncodingClass::Compressed;
-    let translated = matches!(
-        config.class,
-        EncodingClass::Compressed | EncodingClass::Tailored
-    );
-
-    let mut r = FetchResult {
-        class: config.class,
-        cycles: 0,
-        ops: 0,
-        mops: 0,
-        pred_correct: 0,
-        pred_wrong: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        buffer_hits: 0,
-        buffer_misses: 0,
-        atb_hits: 0,
-        atb_misses: 0,
-        bus_beats: 0,
-        bus_bit_flips: 0,
-        integrity_faults: 0,
-    };
-
-    let blocks = trace.blocks();
-    let mut i = 0usize;
-    let mut predicted_entry: Option<u32> = None;
-    while i < blocks.len() {
-        let entry = blocks[i];
-        let unit = units.unit_of(entry);
-        let (ufirst, ulen) = units.unit(unit);
-        let uend = ufirst + ulen; // exclusive
-
-        // Follow the trace while it streams sequentially inside the unit.
-        let mut span = 1usize;
-        while i + span < blocks.len()
-            && blocks[i + span] == entry + span as u32
-            && entry + (span as u32) < uend
-        {
-            span += 1;
-        }
-        let last = entry + span as u32 - 1;
-
-        // Fetch the span [entry, unit end) atomically — the unit is the
-        // placement granule, so over-fetch past `last` is real cost.
-        let (start, _) = image.block_range(entry as usize);
-        let (_, end) = image.block_range(uend as usize - 1);
-        let lines = config.cache.lines_spanned(start, end);
-
-        let predicted = predicted_entry.is_none_or(|p| p == entry);
-        if predicted_entry.is_some() {
-            if predicted {
-                r.pred_correct += 1;
-            } else {
-                r.pred_wrong += 1;
-            }
-        }
-
-        let atb_hit = atb.access(entry, att.lookup(entry as usize));
-        if translated && !atb_hit {
-            r.cycles += config.atb_miss_penalty as u64;
-        }
-
-        let span_ops: u64 = (entry..=last)
-            .map(|b| program.blocks()[b as usize].num_ops as u64)
-            .sum();
-        let span_mops: u64 = (entry..=last)
-            .map(|b| program.blocks()[b as usize].num_mops as u64)
-            .sum();
-        r.ops += span_ops;
-        r.mops += span_mops;
-
-        let buffer_hit = compressed && buffer.access(entry, span_ops.min(u32::MAX as u64) as u32);
-        let cache_hit = if buffer_hit {
-            true
-        } else {
-            let access = cache.access_block(start, end);
-            for &l in &access.fetched_lines {
-                bus.transfer_line(&image.bytes, l, config.cache.line_bytes);
-            }
-            access.hit
-        };
-
-        let pen = config.penalties.penalty(Outcome {
-            predicted,
-            cache_hit,
-            buffer_hit,
-        });
-        r.cycles += pen.cycles(lines) as u64 + span_mops.saturating_sub(1);
-
-        // One prediction per unit exit.
-        i += span;
-        if i < blocks.len() {
-            predicted_entry = Some(atb.predict_next(last));
-            atb.train(last, blocks[i]);
-        }
-    }
-
-    r.cache_hits = cache.hits();
-    r.cache_misses = cache.misses();
-    r.buffer_hits = buffer.hits();
-    r.buffer_misses = buffer.misses();
-    r.atb_hits = atb.hits();
-    r.atb_misses = atb.misses();
-    r.bus_beats = bus.beats();
-    r.bus_bit_flips = bus.bit_flips();
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccc_core::schemes::base::encode_base;
+    use crate::engine::{simulate, simulate_with, DecodeStats, FetchConfig, FetchResult, Probes};
+    use ccc_core::schemes::{by_name, SchemeOutput};
+    use ccc_telemetry::RingSink;
     use yula::{Emulator, Limits};
 
-    fn setup(src: &str) -> (Program, BlockTrace, EncodedProgram) {
+    fn setup(src: &str) -> (Program, BlockTrace) {
         let p = lego::compile(src, &lego::Options::default()).unwrap();
         let run = Emulator::new(&p).run(&Limits::default()).unwrap();
-        let img = encode_base(&p);
-        (p, run.trace, img)
+        (p, run.trace)
+    }
+
+    /// One run per fetch class, each on an image of its own encoding
+    /// (Base also under Ideal).
+    fn class_runs(p: &Program) -> Vec<(SchemeOutput, FetchConfig)> {
+        [
+            ("base", FetchConfig::base()),
+            ("tailored", FetchConfig::tailored()),
+            ("full", FetchConfig::compressed()),
+            ("base", FetchConfig::ideal()),
+        ]
+        .into_iter()
+        .map(|(scheme, cfg)| (by_name(scheme).unwrap().compress(p).unwrap(), cfg))
+        .collect()
+    }
+
+    /// A run over `units` (or blocks), with the codec its class decodes
+    /// on hit.
+    fn run<'a>(
+        p: &Program,
+        trace: &BlockTrace,
+        (out, cfg): &'a (SchemeOutput, FetchConfig),
+        units: Option<&'a FetchUnits>,
+        sink: Option<&'a mut dyn ccc_telemetry::TraceSink>,
+    ) -> (FetchResult, DecodeStats) {
+        let probes = Probes {
+            codec: cfg.class.decodes_on_hit().then_some(out.codec.as_ref()),
+            units,
+            sink,
+            ..Probes::default()
+        };
+        simulate_with(p, &out.image, trace, cfg, probes)
     }
 
     #[test]
     fn units_partition_all_blocks() {
-        let (p, trace, _) = setup(
+        let (p, trace) = setup(
             "fn main() { var i; var s = 0; for (i = 0; i < 50; i = i + 1) { s = s + i; } print(s); }",
         );
         let units = FetchUnits::form(&p, &trace, 0.8);
@@ -268,7 +171,7 @@ mod tests {
 
     #[test]
     fn straightline_code_forms_long_units() {
-        let (p, trace, _) = setup(
+        let (p, trace) = setup(
             r#"
             global a[16];
             fn main() {
@@ -288,7 +191,7 @@ mod tests {
 
     #[test]
     fn unit_simulation_conserves_ops_and_bounds_ipc() {
-        let (p, trace, img) = setup(
+        let (p, trace) = setup(
             r#"
             fn main() {
                 var i; var s = 0;
@@ -301,9 +204,9 @@ mod tests {
         "#,
         );
         let units = FetchUnits::form(&p, &trace, 0.8);
-        let cfg = FetchConfig::base();
-        let unit_r = simulate_with_units(&p, &img, &trace, &cfg, &units);
-        let block_r = crate::engine::simulate(&p, &img, &trace, &cfg);
+        let base = &class_runs(&p)[0];
+        let (unit_r, _) = run(&p, &trace, base, Some(&units), None);
+        let block_r = simulate(&p, &base.0.image, &trace, &base.1);
         assert_eq!(unit_r.ops, block_r.ops, "same instruction stream");
         assert!(unit_r.ipc() <= 6.0 + 1e-9);
         // Fewer prediction points at unit granularity.
@@ -314,20 +217,53 @@ mod tests {
 
     #[test]
     fn theta_one_degenerates_to_blocks() {
-        let (p, trace, img) =
-            setup("fn main() { var i; for (i = 0; i < 20; i = i + 1) { print(i); } }");
+        let (p, trace) = setup("fn main() { var i; for (i = 0; i < 20; i = i + 1) { print(i); } }");
         // theta > 1 can never chain, so every block is its own unit and
-        // the unit engine must agree with the block engine on delivered
-        // work.
+        // the unit walk must reproduce the block walk exactly, in every
+        // class, decode work included.
         let units = FetchUnits::form(&p, &trace, 1.1);
         assert_eq!(units.num_units(), p.num_blocks());
-        let cfg = FetchConfig::base();
-        let unit_r = simulate_with_units(&p, &img, &trace, &cfg, &units);
-        let block_r = crate::engine::simulate(&p, &img, &trace, &cfg);
-        assert_eq!(unit_r.ops, block_r.ops);
-        assert_eq!(
-            unit_r.cycles, block_r.cycles,
-            "degenerate units must match exactly"
+        for class_run in &class_runs(&p) {
+            let by_block = run(&p, &trace, class_run, None, None);
+            let by_unit = run(&p, &trace, class_run, Some(&units), None);
+            assert_eq!(by_unit, by_block, "{:?}", class_run.1.class);
+            let decodes = class_run.1.class.decodes_on_hit();
+            assert_eq!(by_unit.1.blocks_decoded > 0, decodes);
+        }
+    }
+
+    #[test]
+    fn traced_unit_runs_reconcile_and_check_parity_per_block() {
+        let (p, trace) = setup(
+            r#"
+            global a[16];
+            fn main() {
+                var i; var s = 0;
+                for (i = 0; i < 100; i = i + 1) {
+                    a[i % 16] = s; s = s + a[(i + 3) % 16] + i;
+                    if (i % 7 == 0) { s = s - 5; }
+                    print(s);
+                }
+            }
+        "#,
         );
+        let units = FetchUnits::form(&p, &trace, 0.8);
+        assert!(
+            units.num_units() < p.num_blocks(),
+            "needs multi-block units"
+        );
+        for class_run in &class_runs(&p) {
+            let class = class_run.1.class;
+            let plain = run(&p, &trace, class_run, Some(&units), None);
+            // The loop asserts that the traced event counts reconcile
+            // with its counters; tracing must not steer.
+            let mut ring = RingSink::new(1 << 22);
+            let traced = run(&p, &trace, class_run, Some(&units), Some(&mut ring));
+            assert_eq!(traced, plain, "{class:?}");
+            // Each block of a multi-block fetch is checked against its
+            // own ATT entry, so a clean image raises no fault.
+            assert_eq!(plain.0.integrity_faults, 0, "{class:?}");
+            assert_eq!(plain.1.decode_errors, 0, "{class:?}");
+        }
     }
 }

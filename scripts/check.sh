@@ -10,6 +10,13 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark harness build + tests"
+# perfbench/ is a workspace of its own, so the two steps above never
+# compile it; building it here catches a library API change that would
+# break the benchmark before the benchmark runs.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> warm-cache bench smoke"
 # Cold run populates a scratch cache and must reproduce the committed
 # result file byte for byte (the documented regeneration recipe); the

@@ -557,15 +557,9 @@ fn bench_cmd(args: &[String]) -> ExitCode {
     );
     let mut tot = DecodeStats::default();
     for p in &prepared {
-        match schemes::full::FullScheme::default().compress(&p.program) {
-            Ok(out) => {
-                let (_, ds) = simulate_decoded(
-                    &p.program,
-                    &p.compressed_img,
-                    &p.trace,
-                    &FetchConfig::compressed(),
-                    out.codec.as_ref(),
-                );
+        let name = p.workload.name;
+        match engine.simulate(name, &p.program, &p.compressed_img, &p.trace, None) {
+            Ok((_, ds)) => {
                 eprintln!(
                     "{:<10} {:>8} {:>10} {:>12} {:>9} {:>7}",
                     p.workload.name,
@@ -581,7 +575,7 @@ fn bench_cmd(args: &[String]) -> ExitCode {
                 tot.long_fallbacks += ds.long_fallbacks;
                 tot.stall_bits += ds.stall_bits;
             }
-            Err(e) => eprintln!("{:<10} <compress failed: {e}>", p.workload.name),
+            Err(e) => eprintln!("{name:<10} <compress failed: {e}>"),
         }
     }
     eprintln!(
@@ -677,8 +671,7 @@ fn bench_cmd(args: &[String]) -> ExitCode {
 
 fn trace_cmd(args: &[String]) -> ExitCode {
     use tepic_ccc::telemetry::{
-        chrome_trace_json, metrics_snapshot_json, observe_fetch_histograms, Clock, MonotonicClock,
-        TraceEvent, TraceMeta,
+        chrome_trace_json, metrics_snapshot_json, observe_fetch_histograms, TraceEvent, TraceMeta,
     };
 
     let t0 = Instant::now();
@@ -745,78 +738,20 @@ fn trace_cmd(args: &[String]) -> ExitCode {
     let engine =
         Engine::uncached(tepic_ccc::bench::engine::default_jobs()).with_trace_sink(sink.clone());
     let opts = lego::Options::default();
-    let program = match engine.program(w.name, w.source(), &opts) {
-        Ok(p) => p,
+    let run = || -> Result<_, tepic_ccc::bench::engine::PrepareError> {
+        let program = engine.program(w.name, w.source(), &opts)?;
+        let btrace = engine.trace(w.name, w.source(), &opts, &program)?;
+        let image = engine.image(w.name, w.source(), &opts, &scheme, &program)?;
+        let sim = engine.simulate(w.name, &program, &image, &btrace, None)?;
+        Ok((EncodingClass::of(&image.kind), sim))
+    };
+    let (class, (result, dstats)) = match run() {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("tepic-cc trace: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let btrace = match engine.trace(w.name, w.source(), &opts, &program) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("tepic-cc trace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let image = match engine.image(w.name, w.source(), &opts, &scheme, &program) {
-        Ok(i) => i,
-        Err(e) => {
-            eprintln!("tepic-cc trace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // The image's fetch class picks the configuration and whether a
-    // codec rides the hit path (only compressed code decodes for real).
-    let clock = MonotonicClock::new();
-    let class = EncodingClass::of(&image.kind);
-    let cfg = FetchConfig::of_class(class);
-    let codec = if class.decodes_on_hit() {
-        let codec_start = clock.now_ns();
-        let out = match tepic_ccc::bench::engine::scheme_by_name(&scheme)
-            .expect("validated above")
-            .compress(&program)
-        {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("tepic-cc trace: {scheme}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        sink.record(TraceEvent::Span {
-            name: "codec",
-            detail: format!("{}/{scheme}", w.name),
-            id: engine.next_span_id(),
-            parent: 0,
-            start_ns: codec_start,
-            dur_ns: clock.now_ns().saturating_sub(codec_start),
-        });
-        Some(out.codec)
-    } else {
-        None
-    };
-
-    let mut fetch_sink = sink.clone();
-    let sim_start = clock.now_ns();
-    let (result, dstats) = match &codec {
-        Some(c) => {
-            simulate_decoded_traced(&program, &image, &btrace, &cfg, c.as_ref(), &mut fetch_sink)
-        }
-        None => (
-            simulate_traced(&program, &image, &btrace, &cfg, &mut fetch_sink),
-            DecodeStats::default(),
-        ),
-    };
-    let sim_ns = clock.now_ns().saturating_sub(sim_start);
-    sink.record(TraceEvent::Span {
-        name: "simulate",
-        detail: format!("{}/{}", w.name, scheme),
-        id: engine.next_span_id(),
-        parent: 0,
-        start_ns: sim_start,
-        dur_ns: sim_ns,
-    });
 
     let registry = MetricsRegistry::new();
     result.record_metrics(&registry);
@@ -830,6 +765,18 @@ fn trace_cmd(args: &[String]) -> ExitCode {
         dropped: sink.dropped(),
     };
     let events = sink.drain();
+    // The engine's `simulate` span times the fetch loop alone.
+    let sim_ns = events
+        .iter()
+        .find_map(|e| match e {
+            TraceEvent::Span {
+                name: "simulate",
+                dur_ns,
+                ..
+            } => Some(*dur_ns),
+            _ => None,
+        })
+        .unwrap_or(0);
     // The instant events carry the stall/penalty/fill distributions the
     // counters flatten; fold them into histograms so the snapshot's
     // quantiles mean something.
@@ -933,16 +880,11 @@ fn figure_suite_text(prepared: &[Prepared], reports: &[CompressionReport]) -> St
     s
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
 fn chaos_cmd(args: &[String]) -> ExitCode {
     use std::sync::Arc;
     use tepic_ccc::bench::engine::RecoverySnapshot;
     use tepic_ccc::ccc::failpoint::{class_of, sites, FailMode, Failpoints, REQUIRED_CLASSES};
+    use tepic_ccc::telemetry::json;
 
     let mut seed = 42u64;
     let mut sites_spec = DEFAULT_CHAOS_SITES.to_string();
@@ -1031,29 +973,17 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
 
     // The decode phase: the real decompressor over every workload's
     // full-Huffman image, with LUT faults injected when `fp` is armed.
+    let decoder = Engine::uncached(1);
     let decode_all = |prepared: &[Prepared],
                       fp: Option<&Failpoints>|
      -> Result<(Vec<FetchResult>, u64), String> {
         let mut out = Vec::with_capacity(prepared.len());
         let mut fallbacks = 0u64;
         for p in prepared {
-            let full = schemes::full::FullScheme::default()
-                .compress(&p.program)
-                .map_err(|e| format!("{}: compress: {e}", p.workload.name))?;
-            let cfg = FetchConfig::compressed();
-            let (r, ds) = match fp {
-                Some(fp) => simulate_decoded_injected(
-                    &p.program,
-                    &full.image,
-                    &p.trace,
-                    &cfg,
-                    full.codec.as_ref(),
-                    fp,
-                ),
-                None => {
-                    simulate_decoded(&p.program, &full.image, &p.trace, &cfg, full.codec.as_ref())
-                }
-            };
+            let name = p.workload.name;
+            let (r, ds) = decoder
+                .simulate(name, &p.program, &p.compressed_img, &p.trace, fp)
+                .map_err(|e| format!("{name}: {e}"))?;
             fallbacks += ds.reference_fallbacks;
             out.push(r);
         }
@@ -1233,7 +1163,7 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
         ];
         let injected_json = census
             .iter()
-            .map(|(k, n)| format!("\"{}\": {n}", json_escape(k)))
+            .map(|(k, n)| format!("{}: {n}", json::escape(k)))
             .collect::<Vec<_>>()
             .join(", ");
         let recovery_json = recovery_totals
@@ -1243,12 +1173,12 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
             .join(", ");
         run_jsons.push(format!(
             "    {{\n      \"seed\": {run_seed},\n      \"ok\": {ok},\n      \
-             \"error\": \"{}\",\n      \"figures_cold_identical\": {cold_identical},\n      \
+             \"error\": {},\n      \"figures_cold_identical\": {cold_identical},\n      \
              \"figures_warm_identical\": {warm_identical},\n      \
              \"decode_identical\": {decode_identical},\n      \
              \"reconciled\": {reconciled},\n      \"total_injected\": {},\n      \
              \"injected\": {{{injected_json}}},\n      \"recovery\": {{{recovery_json}}}\n    }}",
-            json_escape(&error),
+            json::escape(&error),
             log.len(),
         ));
     }
@@ -1273,9 +1203,9 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
         .join(", ");
     let report = format!(
         "{{\n  \"seed\": {seed},\n  \"runs\": {runs},\n  \"jobs\": {jobs},\n  \
-         \"sites\": \"{}\",\n  \"figures\": [{}],\n  \"coverage\": {{{coverage_json}}},\n  \
+         \"sites\": {},\n  \"figures\": [{}],\n  \"coverage\": {{{coverage_json}}},\n  \
          \"runs_detail\": [\n{}\n  ],\n  \"ok\": {all_ok}\n}}\n",
-        json_escape(&sites_spec),
+        json::escape(&sites_spec),
         FIGURES
             .iter()
             .filter(|f| f.core)

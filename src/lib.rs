@@ -65,8 +65,8 @@ pub mod prelude {
     };
     pub use ccc_telemetry::{MetricsRegistry, RingSink, SharedSink, TraceSink};
     pub use ifetch_sim::{
-        simulate, simulate_decoded, simulate_decoded_injected, simulate_decoded_traced,
-        simulate_traced, DecodeStats, EncodingClass, FetchConfig, FetchResult, PenaltyTable,
+        simulate, simulate_with, DecodeStats, EncodingClass, FetchConfig, FetchResult,
+        PenaltyTable, Probes,
     };
     pub use lego;
     pub use tepic_isa::Program;

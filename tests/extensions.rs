@@ -3,7 +3,7 @@
 //! must preserve correctness invariants on the real workloads.
 
 use tepic_ccc::ccc::schemes::{base::encode_base, pair::PairScheme, Scheme};
-use tepic_ccc::fetch::{simulate_with_units, FetchUnits, PredictorKind};
+use tepic_ccc::fetch::{FetchUnits, PredictorKind};
 use tepic_ccc::prelude::*;
 
 #[test]
@@ -34,7 +34,11 @@ fn complex_units_preserve_delivery_on_all_workloads() {
         let img = encode_base(&p);
         let units = FetchUnits::form(&p, &run.trace, 0.8);
         let cfg = FetchConfig::base();
-        let u = simulate_with_units(&p, &img, &run.trace, &cfg, &units);
+        let probes = Probes {
+            units: Some(&units),
+            ..Probes::default()
+        };
+        let (u, _) = simulate_with(&p, &img, &run.trace, &cfg, probes);
         let b = simulate(&p, &img, &run.trace, &cfg);
         assert_eq!(u.ops, b.ops, "{}: unit fetch dropped ops", w.name);
         assert!(

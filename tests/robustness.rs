@@ -226,25 +226,23 @@ proptest! {
             let program = lego::compile(LOOPY.source(), &lego::Options::default()).unwrap();
             let run = Emulator::new(&program).run(&Limits::default()).unwrap();
             let out = schemes::full::FullScheme::default().compress(&program).unwrap();
-            let (clean, _) = simulate_decoded(
-                &program,
-                &out.image,
-                &run.trace,
-                &FetchConfig::compressed(),
-                out.codec.as_ref(),
-            );
+            let probes = Probes {
+                codec: Some(out.codec.as_ref()),
+                ..Probes::default()
+            };
+            let cfg = FetchConfig::compressed();
+            let (clean, _) = simulate_with(&program, &out.image, &run.trace, &cfg, probes);
             (program, run.trace, clean)
         });
         let out = schemes::full::FullScheme::default().compress(program).unwrap();
         let fp = Failpoints::from_spec(&format!("decode.lut:{prob}:error"), seed).unwrap();
-        let (injected, stats) = simulate_decoded_injected(
-            program,
-            &out.image,
-            trace,
-            &FetchConfig::compressed(),
-            out.codec.as_ref(),
-            &fp,
-        );
+        let probes = Probes {
+            codec: Some(out.codec.as_ref()),
+            failpoints: Some(&fp),
+            ..Probes::default()
+        };
+        let cfg = FetchConfig::compressed();
+        let (injected, stats) = simulate_with(program, &out.image, trace, &cfg, probes);
         prop_assert_eq!(&injected, clean);
         prop_assert_eq!(stats.reference_fallbacks, fp.fired(sites::DECODE_LUT, FailMode::Error));
         prop_assert_eq!(stats.decode_errors, 0);

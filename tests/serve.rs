@@ -2,7 +2,7 @@
 //! protocol round-trips against a live in-process server, single-flight
 //! coalescing under a cold-key stampede, bounded-admission
 //! backpressure, graceful drain, warm-path byte-identity against the
-//! one-shot pipeline, and the bounded response memo.
+//! one-shot pipeline, the bounded response memo, and panic isolation.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -13,6 +13,7 @@ use tepic_ccc::bench::serve::proto::{
     read_frame, write_frame, JobOp, JobRequest, Request, MAX_FRAME,
 };
 use tepic_ccc::bench::serve::{DispatchGate, ServeConfig, ServerHandle, MEMO_BUDGET};
+use tepic_ccc::ccc::Failpoints;
 use tepic_ccc::telemetry::parse_json;
 use tepic_ccc::workgen::{generate_program, Flavor, GenParams};
 
@@ -315,6 +316,31 @@ fn graceful_drain_finishes_jobs_and_refuses_new_connections() {
         TcpStream::connect(addr).is_err(),
         "drained daemon must refuse new connections"
     );
+}
+
+#[test]
+fn a_panicking_job_answers_internal_and_never_hangs_the_daemon() {
+    let fp = Failpoints::from_spec("pool.job:1:panic", 7).expect("valid spec");
+    let engine = Engine::uncached(2).with_failpoints(Arc::new(fp));
+    let server = ServerHandle::start(engine, ServeConfig::default()).expect("start");
+    let mut c = connect(server.local_addr());
+    // A hang fails the test instead of stalling the suite.
+    c.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let source = small_source(46);
+    let req = job(JobOp::Compile, "poisoned", &source, "full", 0);
+
+    let reply = roundtrip(&mut c, &req);
+    assert_eq!(error_kind(&reply).as_deref(), Some("internal"));
+    // The flight was deregistered and nothing was memoized, so the same
+    // request runs again rather than waiting on a dead flight.
+    let again = roundtrip(&mut c, &req);
+    assert_eq!(error_kind(&again).as_deref(), Some("internal"));
+    assert_eq!(server.registry().counter("serve.jobs_executed").get(), 2);
+
+    let pong = roundtrip(&mut c, &Request::Ping);
+    assert!(String::from_utf8_lossy(&pong).contains("pong"));
+    server.shutdown();
+    server.join();
 }
 
 #[test]

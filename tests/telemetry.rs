@@ -46,10 +46,15 @@ fn traced_fetch_is_bit_identical_for_every_class() {
     ] {
         let plain = simulate(&program, img, &trace, &cfg);
         let mut ring = RingSink::new(1 << 20);
-        let traced = simulate_traced(&program, img, &trace, &cfg, &mut ring);
+        let run = |sink: &mut dyn TraceSink| {
+            let probes = Probes {
+                sink: Some(sink),
+                ..Probes::default()
+            };
+            simulate_with(&program, img, &trace, &cfg, probes).0
+        };
+        let (traced, nooped) = (run(&mut ring), run(&mut NoopSink));
         assert_eq!(plain, traced, "{name}: tracing changed the result");
-        let mut noop = NoopSink;
-        let nooped = simulate_traced(&program, img, &trace, &cfg, &mut noop);
         assert_eq!(plain, nooped, "{name}: noop sink changed the result");
 
         let c = ring.counts();
@@ -87,16 +92,17 @@ fn traced_decoded_run_matches_untraced() {
         .compress(&program)
         .expect("full compresses");
     let cfg = FetchConfig::compressed();
-    let (r0, s0) = simulate_decoded(&program, &out.image, &trace, &cfg, out.codec.as_ref());
+    let decoded = |sink| {
+        let probes = Probes {
+            codec: Some(out.codec.as_ref()),
+            sink,
+            ..Probes::default()
+        };
+        simulate_with(&program, &out.image, &trace, &cfg, probes)
+    };
+    let (r0, s0) = decoded(None);
     let mut ring = RingSink::new(1 << 20);
-    let (r1, s1) = simulate_decoded_traced(
-        &program,
-        &out.image,
-        &trace,
-        &cfg,
-        out.codec.as_ref(),
-        &mut ring,
-    );
+    let (r1, s1) = decoded(Some(&mut ring));
     assert_eq!(r0, r1, "tracing changed the fetch result");
     assert_eq!(s0, s1, "tracing changed the decode stats");
     assert!(s0.stall_bits > 0, "real decodes consume codeword bits");

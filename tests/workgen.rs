@@ -170,13 +170,12 @@ fn generated_programs_fetch_simulate_cleanly() {
         let p = lego::compile(&gp.source, &lego::Options::default()).unwrap();
         let run = Emulator::new(&p).run(&GEN_LIMITS).unwrap();
         let out = scheme_by_name("full").unwrap().compress(&p).unwrap();
-        let (result, dstats) = simulate_decoded(
-            &p,
-            &out.image,
-            &run.trace,
-            &FetchConfig::compressed(),
-            out.codec.as_ref(),
-        );
+        let probes = Probes {
+            codec: Some(out.codec.as_ref()),
+            ..Probes::default()
+        };
+        let cfg = FetchConfig::compressed();
+        let (result, dstats) = simulate_with(&p, &out.image, &run.trace, &cfg, probes);
         assert_eq!(dstats.decode_errors, 0, "{}: decode errors", gp.name);
         assert_eq!(
             result.integrity_faults, 0,
