@@ -1,9 +1,10 @@
 //! Decode-kernel throughput: the word-at-a-time [`BitReader`] +
 //! two-level-LUT [`LutDecoder`] fast path against the bit-serial
-//! [`CanonicalDecoder`] reference, plus the throughput tier of
-//! DESIGN.md §15 — the [`InterleavedDecoder`] round-robining many
-//! stream cursors and the [`BlockCodec::decode_batch`] whole-image
-//! path — over each Huffman scheme's real tables and symbol streams.
+//! [`CanonicalDecoder`] reference, the throughput tier of DESIGN.md
+//! §15 — the [`InterleavedDecoder`] round-robining many table-pinned
+//! stream cursors — and whole images decoded one block at a time
+//! through [`BlockCodec::decode_block_counted`] (the `batch` panel),
+//! over each Huffman scheme's real tables and symbol streams.
 //!
 //! Workloads: the `go` benchmark plus a seeded `ccc-workgen` tiny-tier
 //! corpus (`CCC_DECODE_SEED`, default 42), so throughput numbers are
@@ -12,7 +13,10 @@
 //!
 //! Panels time with `bench_best` (best sample, not mean): host
 //! interference only adds time, so the minimum estimates the kernel's
-//! own cost and keeps the regression gate stable on busy machines.
+//! own cost and keeps the regression gate stable on busy machines. The
+//! gated ratio's two sides, `lut` and `interleaved`, take alternate
+//! samples (`bench_best_pair`), so both minimums see the same host
+//! phases.
 //!
 //! Besides the usual per-iteration prints, this bench writes
 //! `results/decode_throughput.txt` (human table) and
@@ -37,7 +41,7 @@ use ccc_bench::engine::cache::write_atomic;
 use ccc_bench::history::{self, SentinelConfig};
 use ccc_core::schemes::stream::StreamConfig;
 use ccc_core::schemes::{byte::ByteScheme, full::FullScheme, pair::PairScheme};
-use ccc_core::schemes::{decode_blocks, stream::StreamScheme, BlockCodec, Scheme};
+use ccc_core::schemes::{stream::StreamScheme, BlockCodec, Scheme};
 use ccc_telemetry::ledger::{self, Fingerprint};
 use criterion::Criterion;
 use std::fmt::Write as _;
@@ -172,7 +176,7 @@ impl LaneSet {
                 bytes: &l.bytes,
                 start_bit: 0,
                 symbols: l.syms.len(),
-                table: Some(l.table),
+                table: l.table,
             })
             .collect()
     }
@@ -202,7 +206,7 @@ impl LaneSet {
 }
 
 /// The batch panel's unit: a program compressed by the real
-/// [`Scheme`], decoded whole-image through [`BlockCodec::decode_batch`].
+/// [`Scheme`], decoded whole-image one block at a time.
 struct BatchLoad {
     image: ccc_core::EncodedProgram,
     codec: Box<dyn BlockCodec>,
@@ -219,23 +223,25 @@ fn build_batch(scheme: &dyn Scheme, p: &Program) -> BatchLoad {
 }
 
 impl BatchLoad {
-    fn decode(&self) -> u64 {
+    fn decode_blocks(&self) -> impl Iterator<Item = Vec<u64>> + '_ {
         let mut counts = DecodeCounters::default();
-        let results = decode_blocks(self.codec.as_ref(), &self.image, &self.ops, &mut counts);
-        results.iter().fold(0u64, |a, r| {
-            r.as_ref()
+        self.ops.iter().enumerate().map(move |(b, &num_ops)| {
+            self.codec
+                .decode_block_counted(&self.image, b, num_ops, &mut counts)
                 .unwrap()
-                .iter()
-                .fold(a, |a, &w| a.wrapping_add(w))
         })
     }
 
+    fn decode(&self) -> u64 {
+        self.decode_blocks()
+            .flatten()
+            .fold(0u64, |a, w| a.wrapping_add(w))
+    }
+
     fn verify(&self, p: &Program) {
-        let mut counts = DecodeCounters::default();
-        let results = decode_blocks(self.codec.as_ref(), &self.image, &self.ops, &mut counts);
-        for (b, r) in results.iter().enumerate() {
-            let words: Vec<u64> = p.block_ops(b).iter().map(|o| o.encode()).collect();
-            assert_eq!(r.as_ref().unwrap(), &words, "batch decode diverged");
+        for (b, words) in self.decode_blocks().enumerate() {
+            let want: Vec<u64> = p.block_ops(b).iter().map(|o| o.encode()).collect();
+            assert_eq!(words, want, "block decode diverged");
         }
     }
 }
@@ -453,24 +459,27 @@ fn measure(c: &mut Criterion, row: &SchemeRow) -> Measurement {
             a
         })
     });
-    let lut_ns = g.bench_best("lut", |b| {
-        b.iter(|| {
-            let mut a = 0u64;
-            for (i, w) in row.loads.iter().enumerate() {
-                a = a.wrapping_add(black_box(w.decode_lut(&luts[i])));
-            }
-            a
-        })
-    });
-    let inter_ns = g.bench_best("interleaved", |b| {
-        b.iter(|| {
-            let mut a = 0u64;
-            for set in &row.lanes {
-                a = a.wrapping_add(black_box(set.decode()));
-            }
-            a
-        })
-    });
+    let (lut_ns, inter_ns) = g.bench_best_pair(
+        ["lut", "interleaved"],
+        |b| {
+            b.iter(|| {
+                let mut a = 0u64;
+                for (i, w) in row.loads.iter().enumerate() {
+                    a = a.wrapping_add(black_box(w.decode_lut(&luts[i])));
+                }
+                a
+            })
+        },
+        |b| {
+            b.iter(|| {
+                let mut a = 0u64;
+                for set in &row.lanes {
+                    a = a.wrapping_add(black_box(set.decode()));
+                }
+                a
+            })
+        },
+    );
     let batch_ns = g.bench_best("batch", |b| {
         b.iter(|| {
             let mut a = 0u64;
@@ -548,15 +557,6 @@ fn sweep_lut_bits(c: &mut Criterion, rows: &[SchemeRow], sizes: &[u32]) -> Vec<S
         .collect()
 }
 
-fn simd_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        return std::arch::is_x86_feature_detected!("avx2");
-    }
-    #[allow(unreachable_code)]
-    false
-}
-
 fn render_table(rows: &[Measurement], names: &[String]) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -620,12 +620,6 @@ fn render_json(
         "  \"corpus\": {{ \"seed\": {seed}, \"tier\": \"tiny\", \"flavor\": \"tepic\" }},"
     );
     let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(
-        out,
-        "  \"simd\": {{ \"compiled\": {}, \"active\": {} }},",
-        cfg!(feature = "simd"),
-        simd_active()
-    );
     let _ = writeln!(
         out,
         "  \"lut_bits_default\": {},",
@@ -803,8 +797,7 @@ fn main() {
     } else {
         "decode_throughput/full"
     };
-    let features = if cfg!(feature = "simd") { "simd" } else { "" };
-    let fp = Fingerprint::current(features, tinker_huffman::lut::DEFAULT_LUT_BITS as u64);
+    let fp = Fingerprint::current("", tinker_huffman::lut::DEFAULT_LUT_BITS as u64);
     let cfg = SentinelConfig::default();
     // `cargo bench` runs with the package dir as cwd, so a relative
     // ledger path is re-anchored at the workspace root — the same file
@@ -895,7 +888,6 @@ fn main() {
     let mut rec = history::base_record(
         bench_name,
         seed,
-        features,
         tinker_huffman::lut::DEFAULT_LUT_BITS as u64,
         t0.elapsed().as_nanos() as u64,
     );

@@ -216,10 +216,13 @@ impl EngineSnapshot {
         out
     }
 
-    /// Folds the snapshot into a metrics registry under `engine.*`, the
-    /// same reporting path `tepic-cc` uses for fetch and fault metrics.
+    /// Folds the cache-traffic counters into a metrics registry under
+    /// `engine.*`, the same reporting path `tepic-cc` uses for fetch and
+    /// fault metrics. The wall-clock stage timers stay out: they differ
+    /// on every run, and the ledger records them itself
+    /// (`history::engine_record`).
     pub fn record_metrics(&self, registry: &ccc_telemetry::MetricsRegistry) {
-        let pairs: [(&str, u64); 13] = [
+        let pairs: [(&str, u64); 9] = [
             ("engine.program_hits", self.program_hits),
             ("engine.program_misses", self.program_misses),
             ("engine.trace_hits", self.trace_hits),
@@ -229,10 +232,6 @@ impl EngineSnapshot {
             ("engine.report_hits", self.report_hits),
             ("engine.report_misses", self.report_misses),
             ("engine.corrupt_entries", self.corrupt_entries),
-            ("engine.compile_ns", self.compile_ns),
-            ("engine.emulate_ns", self.emulate_ns),
-            ("engine.encode_ns", self.encode_ns),
-            ("engine.report_ns", self.report_ns),
         ];
         for (name, v) in pairs {
             registry.counter(name).add(v);

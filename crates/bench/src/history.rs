@@ -32,26 +32,11 @@ use ccc_telemetry::MetricsRegistry;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-/// The `--features` half of the ledger fingerprint for this build of
-/// the bench crate (root-crate features propagate here): ledger
-/// baselines from a simd build must not gate a baseline build.
-pub fn build_features() -> &'static str {
-    if cfg!(feature = "simd") {
-        "simd"
-    } else {
-        ""
-    }
-}
-
 /// A record with fingerprint, seed and wall-clock but no engine data.
-pub fn base_record(
-    subcommand: &str,
-    seed: u64,
-    features: &str,
-    lut_bits: u64,
-    wall_ns: u64,
-) -> LedgerRecord {
-    let mut rec = LedgerRecord::new(subcommand, Fingerprint::current(features, lut_bits));
+/// The workspace has no cargo features, so the fingerprint's features
+/// half is empty.
+pub fn base_record(subcommand: &str, seed: u64, lut_bits: u64, wall_ns: u64) -> LedgerRecord {
+    let mut rec = LedgerRecord::new(subcommand, Fingerprint::current("", lut_bits));
     rec.seed = seed;
     rec.wall_ns = wall_ns;
     rec.samples.insert("wall_ns".to_string(), wall_ns as f64);
@@ -65,12 +50,11 @@ pub fn base_record(
 pub fn engine_record(
     subcommand: &str,
     seed: u64,
-    features: &str,
     lut_bits: u64,
     engine: &Engine,
     wall_ns: u64,
 ) -> LedgerRecord {
-    let mut rec = base_record(subcommand, seed, features, lut_bits, wall_ns);
+    let mut rec = base_record(subcommand, seed, lut_bits, wall_ns);
     let snap = engine.snapshot();
     let registry = MetricsRegistry::new();
     snap.record_metrics(&registry);
@@ -81,6 +65,7 @@ pub fn engine_record(
         ("encode", snap.image_misses, snap.encode_ns),
         ("report", snap.report_misses, snap.report_ns),
     ] {
+        rec.counters.insert(format!("engine.{stage}_ns"), total_ns);
         rec.stages
             .insert(stage.to_string(), StageRollup { count, total_ns });
     }

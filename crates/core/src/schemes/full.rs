@@ -10,7 +10,7 @@
 use super::{BlockDecodeError, CompressError, Scheme, SchemeOutput, SymbolCodec};
 use crate::encoded::{DecoderCost, EncodedProgram, SchemeKind};
 use tepic_isa::{Program, OP_BITS};
-use tinker_huffman::{BitWriter, CodeBook, DecoderComplexity, Dictionary, InterleavedDecoder};
+use tinker_huffman::{BitWriter, CodeBook, DecoderComplexity, Dictionary, LutDecoder};
 
 /// Whole-op Huffman scheme.
 #[derive(Debug, Clone, Copy)]
@@ -27,13 +27,13 @@ impl Default for FullScheme {
 }
 
 struct FullCodec {
-    inter: InterleavedDecoder,
+    tables: Vec<LutDecoder>,
     values: Vec<u64>,
 }
 
 impl SymbolCodec for FullCodec {
-    fn decoder(&self) -> &InterleavedDecoder {
-        &self.inter
+    fn tables(&self) -> &[LutDecoder] {
+        &self.tables
     }
 
     fn num_symbols(&self, num_ops: usize) -> usize {
@@ -57,7 +57,7 @@ impl SymbolCodec for FullCodec {
     }
 
     fn tables_image(&self) -> Vec<u8> {
-        let mut img = self.inter.table(0).table_image();
+        let mut img = self.tables[0].table_image();
         for v in &self.values {
             img.extend_from_slice(&v.to_le_bytes());
         }
@@ -108,7 +108,7 @@ impl Scheme for FullScheme {
             decoder: DecoderCost::Huffman(vec![model]),
         };
         let codec = FullCodec {
-            inter: InterleavedDecoder::single(book.lut_decoder()),
+            tables: vec![book.lut_decoder()],
             values: (0..dict.len() as u32).map(|i| *dict.value_of(i)).collect(),
         };
         Ok(SchemeOutput {

@@ -17,7 +17,7 @@
 use super::{BlockDecodeError, CompressError, Scheme, SchemeOutput, SymbolCodec};
 use crate::encoded::{DecoderCost, EncodedProgram, SchemeKind};
 use tepic_isa::Program;
-use tinker_huffman::{BitWriter, CodeBook, DecoderComplexity, Dictionary, InterleavedDecoder};
+use tinker_huffman::{BitWriter, CodeBook, DecoderComplexity, Dictionary, LutDecoder};
 
 /// A stream configuration: cut points over the 40-bit word. `cuts` must
 /// start at 0, end at 40, and be strictly increasing.
@@ -130,15 +130,15 @@ fn field(word: u64, off: u32, width: u32) -> u64 {
 
 struct StreamCodec {
     config: &'static StreamConfig,
-    /// One table per field stream; the cycle visits them in stream
-    /// order, so an op is `num_streams` consecutive codewords.
-    inter: InterleavedDecoder,
+    /// One table per field stream, visited in stream order: an op is
+    /// `num_streams` consecutive codewords.
+    tables: Vec<LutDecoder>,
     values: Vec<Vec<u64>>, // per stream: symbol id → field value
 }
 
 impl SymbolCodec for StreamCodec {
-    fn decoder(&self) -> &InterleavedDecoder {
-        &self.inter
+    fn tables(&self) -> &[LutDecoder] {
+        &self.tables
     }
 
     fn num_symbols(&self, num_ops: usize) -> usize {
@@ -171,7 +171,7 @@ impl SymbolCodec for StreamCodec {
     fn tables_image(&self) -> Vec<u8> {
         let mut img = Vec::new();
         for (si, values) in self.values.iter().enumerate() {
-            img.extend_from_slice(&self.inter.table(si).table_image());
+            img.extend_from_slice(&self.tables[si].table_image());
             for v in values {
                 img.extend_from_slice(&v.to_le_bytes());
             }
@@ -252,7 +252,7 @@ impl Scheme for StreamScheme {
         };
         let codec = StreamCodec {
             config: self.config,
-            inter: InterleavedDecoder::new(books.iter().map(CodeBook::lut_decoder).collect()),
+            tables: books.iter().map(CodeBook::lut_decoder).collect(),
             values: dicts
                 .iter()
                 .map(|d| (0..d.len() as u32).map(|i| *d.value_of(i)).collect())

@@ -84,47 +84,99 @@ impl BenchmarkGroup<'_> {
         self.run_samples(id, f).1
     }
 
+    /// [`Self::bench_best`] for two routines whose *ratio* matters:
+    /// their samples alternate (a, b, a, b, ...) under a shared budget
+    /// twice one benchmark's, so both minimums come from the same host
+    /// phases rather than from whatever phase each ran in alone.
+    pub fn bench_best_pair<FA, FB>(&mut self, ids: [&str; 2], mut fa: FA, mut fb: FB) -> (f64, f64)
+    where
+        FA: FnMut(&mut Bencher),
+        FB: FnMut(&mut Bencher),
+    {
+        let mut a = Samples::new(self.calibrate(&mut fa));
+        let mut b = Samples::new(self.calibrate(&mut fb));
+        let started = Instant::now();
+        for _ in 0..self.criterion.sample_size {
+            a.take(&mut fa);
+            b.take(&mut fb);
+            if started.elapsed() > 2 * self.criterion.measurement_time {
+                break;
+            }
+        }
+        (a.report(ids[0]).1, b.report(ids[1]).1)
+    }
+
     fn run_samples<F>(&mut self, id: &str, mut f: F) -> (f64, f64)
     where
         F: FnMut(&mut Bencher),
     {
+        let mut s = Samples::new(self.calibrate(&mut f));
+        let started = Instant::now();
+        for _ in 0..self.criterion.sample_size {
+            s.take(&mut f);
+            if started.elapsed() > self.criterion.measurement_time {
+                break;
+            }
+        }
+        s.report(id)
+    }
+
+    /// Warm-up / calibration: an iteration count whose batch takes one
+    /// sample's share of the budget.
+    fn calibrate<F: FnMut(&mut Bencher)>(&self, f: &mut F) -> u64 {
         let mut b = Bencher {
             iters: 1,
             elapsed: Duration::ZERO,
         };
-        // Warm-up / calibration: find an iteration count whose batch
-        // takes a measurable slice of the budget.
         f(&mut b);
         let per_iter = b.elapsed.max(Duration::from_nanos(1));
-        let budget = self.criterion.measurement_time;
-        let samples = self.criterion.sample_size as u32;
-        let per_sample = budget / samples.max(1);
-        let iters = (per_sample.as_nanos() / per_iter.as_nanos().max(1)).clamp(1, 1_000_000) as u64;
-
-        let mut total = Duration::ZERO;
-        let mut total_iters = 0u64;
-        let mut best_ns = f64::INFINITY;
-        let started = Instant::now();
-        for _ in 0..samples {
-            let mut b = Bencher {
-                iters,
-                elapsed: Duration::ZERO,
-            };
-            f(&mut b);
-            total += b.elapsed;
-            total_iters += iters;
-            best_ns = best_ns.min(b.elapsed.as_nanos() as f64 / iters.max(1) as f64);
-            if started.elapsed() > budget {
-                break;
-            }
-        }
-        let mean_ns = total.as_nanos() as f64 / total_iters.max(1) as f64;
-        println!("  {id:<28} {}", format_ns(mean_ns));
-        (mean_ns, best_ns)
+        let per_sample =
+            self.criterion.measurement_time / (self.criterion.sample_size as u32).max(1);
+        (per_sample.as_nanos() / per_iter.as_nanos().max(1)).clamp(1, 1_000_000) as u64
     }
 
     /// Ends the group (no-op; kept for API compatibility).
     pub fn finish(self) {}
+}
+
+/// The samples of one benchmark: mean and best time per iteration.
+struct Samples {
+    iters: u64,
+    total: Duration,
+    total_iters: u64,
+    best_ns: f64,
+}
+
+impl Samples {
+    fn new(iters: u64) -> Samples {
+        Samples {
+            iters,
+            total: Duration::ZERO,
+            total_iters: 0,
+            best_ns: f64::INFINITY,
+        }
+    }
+
+    /// Times one sample of `f`.
+    fn take<F: FnMut(&mut Bencher)>(&mut self, f: &mut F) {
+        let mut b = Bencher {
+            iters: self.iters,
+            elapsed: Duration::ZERO,
+        };
+        f(&mut b);
+        self.total += b.elapsed;
+        self.total_iters += self.iters;
+        self.best_ns = self
+            .best_ns
+            .min(b.elapsed.as_nanos() as f64 / self.iters.max(1) as f64);
+    }
+
+    /// Prints the mean and returns `(mean_ns, best_ns)`.
+    fn report(&self, id: &str) -> (f64, f64) {
+        let mean_ns = self.total.as_nanos() as f64 / self.total_iters.max(1) as f64;
+        println!("  {id:<28} {}", format_ns(mean_ns));
+        (mean_ns, self.best_ns)
+    }
 }
 
 /// Passed to the benchmark closure; times the routine under test.
@@ -214,6 +266,20 @@ mod tests {
     #[test]
     fn group_macro_compiles_and_runs() {
         benches();
+    }
+
+    #[test]
+    fn pair_returns_both_best_times() {
+        let mut c = Criterion::default()
+            .sample_size(3)
+            .measurement_time(Duration::from_millis(10));
+        let mut g = c.benchmark_group("pair");
+        let (a, b) = g.bench_best_pair(
+            ["add", "mul"],
+            |b| b.iter(|| std::hint::black_box(17u64) + 3),
+            |b| b.iter(|| std::hint::black_box(17u64).wrapping_mul(3)),
+        );
+        assert!(a > 0.0 && b > 0.0);
     }
 
     #[test]

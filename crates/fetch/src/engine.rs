@@ -11,7 +11,7 @@ use crate::penalty::{Outcome, PenaltyTable};
 use crate::power::BusModel;
 use crate::units::FetchUnits;
 use ccc_core::failpoint::{sites, Failpoints};
-use ccc_core::schemes::{BlockCodec, BlockDecodeError, BlockRequest};
+use ccc_core::schemes::{BlockCodec, BlockDecodeError};
 use ccc_core::{AddressTranslationTable, EncodedProgram, SchemeKind};
 use ccc_telemetry::{EventCounts, FetchEventKind, MetricsRegistry, TraceEvent, TraceSink};
 use tepic_isa::Program;
@@ -437,23 +437,7 @@ fn decode_block_healed(
         stats.reference_fallbacks += 1;
         codec.decode_block_reference(image, block, num_ops)
     });
-    note_decoded(&decoded, program, block, num_ops, stats);
-    stats.long_fallbacks += counters.long_fallbacks;
-    stats.stall_bits += counters.stall_bits;
-    decoded
-}
-
-/// Post-decode accounting shared by the healed paths: tally the ops and
-/// flag a decode error when the block errored or reconstructed the
-/// wrong words.
-fn note_decoded(
-    decoded: &Result<Vec<u64>, BlockDecodeError>,
-    program: &Program,
-    block: usize,
-    num_ops: usize,
-    stats: &mut DecodeStats,
-) {
-    match decoded {
+    match &decoded {
         Ok(words) => {
             stats.ops_decoded += words.len() as u64;
             let ok = words
@@ -466,18 +450,18 @@ fn note_decoded(
         }
         Err(_) => stats.decode_errors += 1,
     }
+    stats.long_fallbacks += counters.long_fallbacks;
+    stats.stall_bits += counters.stall_bits;
+    decoded
 }
 
-/// Decodes every block of `image` through one
-/// [`BlockCodec::decode_batch`] call — the interleaved throughput tier
-/// (DESIGN.md §15) — under the same healing protocol as a
-/// [`Probes::codec`] run: blocks whose armed `decode.lut` failpoint
-/// fires are rerouted to the bit-serial reference decoder before the
-/// batch is formed, batch lanes that error take the same one-shot
-/// reference retry, and every decode is checked against the program.
-/// Returns the per-block results in block order plus [`DecodeStats`]
-/// with exactly the per-miss path's semantics
-/// (`reference_fallbacks` counts each rescue).
+/// Decodes every block of `image` in block order, one block at a time,
+/// under exactly the healing protocol of a [`Probes::codec`] run: an
+/// armed `decode.lut` failpoint sends its block to the bit-serial
+/// reference decoder, a block that errors gets one reference retry, and
+/// every decode is checked against the program. Returns the per-block
+/// results plus their [`DecodeStats`] (`reference_fallbacks` counts
+/// each rescue).
 pub fn batch_decode_image(
     program: &Program,
     image: &EncodedProgram,
@@ -485,41 +469,21 @@ pub fn batch_decode_image(
     failpoints: Option<&Failpoints>,
 ) -> (Vec<Result<Vec<u64>, BlockDecodeError>>, DecodeStats) {
     let mut stats = DecodeStats::default();
-    let mut counters = DecodeCounters::default();
-    let num_blocks = program.num_blocks();
-    let mut results: Vec<Option<Result<Vec<u64>, BlockDecodeError>>> = vec![None; num_blocks];
-    let mut requests = Vec::with_capacity(num_blocks);
-    for (block, info) in program.blocks().iter().enumerate() {
-        if failpoints.is_some_and(|fp| fp.check(sites::DECODE_LUT).is_some()) {
-            // The failpoint kills this block's fast path: heal it on
-            // the spot so the batch carries only clean fast-path lanes.
-            stats.blocks_decoded += 1;
-            stats.reference_fallbacks += 1;
-            let decoded = codec.decode_block_reference(image, block, info.num_ops);
-            note_decoded(&decoded, program, block, info.num_ops, &mut stats);
-            results[block] = Some(decoded);
-        } else {
-            requests.push(BlockRequest {
+    let results = program
+        .blocks()
+        .iter()
+        .enumerate()
+        .map(|(block, info)| {
+            decode_block_healed(
+                codec,
+                program,
+                image,
                 block,
-                num_ops: info.num_ops,
-            });
-        }
-    }
-    let batched = codec.decode_batch(image, &requests, &mut counters);
-    for (q, res) in requests.iter().zip(batched) {
-        stats.blocks_decoded += 1;
-        let decoded = res.or_else(|_| {
-            stats.reference_fallbacks += 1;
-            codec.decode_block_reference(image, q.block, q.num_ops)
-        });
-        note_decoded(&decoded, program, q.block, q.num_ops, &mut stats);
-        results[q.block] = Some(decoded);
-    }
-    stats.long_fallbacks += counters.long_fallbacks;
-    stats.stall_bits += counters.stall_bits;
-    let results = results
-        .into_iter()
-        .map(|r| r.expect("every block decoded"))
+                info.num_ops,
+                &mut stats,
+                failpoints,
+            )
+        })
         .collect();
     (results, stats)
 }
@@ -1178,7 +1142,7 @@ mod tests {
             assert_eq!(stats.ops_decoded, s.program.num_ops() as u64);
             assert_eq!(stats.decode_errors, 0, "{}", scheme.name());
             assert_eq!(stats.reference_fallbacks, 0, "{}", scheme.name());
-            // Interleaved counters fold to the sequential totals.
+            // The whole-image counters are the per-block totals.
             assert_eq!(
                 stats.long_fallbacks,
                 seq.long_fallbacks,
@@ -1197,7 +1161,7 @@ mod tests {
         let (results, stats) =
             batch_decode_image(&s.program, &out.image, out.codec.as_ref(), Some(&fp));
         // Every block's fast path was killed and rerouted to the
-        // reference decoder before the batch formed; nothing is lost.
+        // reference decoder; nothing is lost.
         assert_eq!(stats.reference_fallbacks, stats.blocks_decoded);
         assert_eq!(stats.reference_fallbacks, fp.total_fired());
         assert_eq!(stats.decode_errors, 0);
@@ -1216,10 +1180,56 @@ mod tests {
         let mut bad = out.image.clone();
         bad.bytes[start as usize] ^= 0x40;
         let (_, stats) = batch_decode_image(&s.program, &bad, out.codec.as_ref(), None);
-        // The corrupted lane takes its one-shot reference retry (which
+        // The corrupted block takes its one-shot reference retry (which
         // cannot help — the bits themselves are wrong) and is flagged.
         assert!(stats.reference_fallbacks >= 1 || stats.decode_errors >= 1);
         assert!(stats.decode_errors >= 1, "corruption must be flagged");
+    }
+
+    #[test]
+    fn pair_codec_without_singles_book_rejects_odd_blocks() {
+        use ccc_core::schemes::pair::PairScheme;
+        use tepic_isa::{BlockInfo, FuncInfo, Operation};
+        // One-block programs of `n` no-ops in one MultiOp. A pair codec
+        // built from the even one has no singles table, so an odd
+        // block's trailing op names a table the codec lacks.
+        let nops = |n: usize| {
+            let mut ops = vec![
+                Operation {
+                    tail: false,
+                    ..Operation::nop()
+                };
+                n
+            ];
+            ops[n - 1].tail = true;
+            let block = BlockInfo {
+                first_op: 0,
+                num_ops: n,
+                num_mops: 1,
+                func: 0,
+            };
+            let func = FuncInfo {
+                name: "main".into(),
+                first_block: 0,
+                num_blocks: 1,
+            };
+            Program::new(ops, vec![block], vec![func], 0, vec![], 0).unwrap()
+        };
+        let out = PairScheme::default().compress(&nops(2)).unwrap();
+        let want = Err(BlockDecodeError::BadValue {
+            field: "decode table",
+        });
+        let mut counts = DecodeCounters::default();
+        assert_eq!(
+            out.codec
+                .decode_block_counted(&out.image, 0, 1, &mut counts),
+            want
+        );
+        let (results, stats) = batch_decode_image(&nops(1), &out.image, out.codec.as_ref(), None);
+        assert_eq!(results, vec![want]);
+        // The reference retry lacks the table too, so the block is lost.
+        assert_eq!(stats.reference_fallbacks, 1);
+        assert_eq!(stats.decode_errors, 1);
     }
 
     #[test]

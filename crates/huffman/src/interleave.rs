@@ -6,10 +6,11 @@
 //! long dependency chain and the CPU's out-of-order window sits idle.
 //! [`InterleavedDecoder`] breaks the chain the same way the paper's
 //! hardware does for the stream scheme: it keeps one [`BitReader`]
-//! cursor per *lane* (an independent bitstream — a per-field stream or
-//! a whole block) and round-robins *bursts* of symbol decodes across
-//! the lanes. Within a burst a pinned lane runs a software-pipelined
-//! hot loop — one wide refill feeds a run of peek→packed-load→consume
+//! cursor per *lane* (an independent bitstream pinned to one table,
+//! such as a per-field stream) and round-robins *bursts* of symbol
+//! decodes across the lanes. Within a burst a lane runs a
+//! software-pipelined hot loop — one wide refill feeds a run of
+//! peek→packed-load→consume
 //! steps with the cursor held in registers — and the rotation to the
 //! next lane starts a chain with no data dependency on the last, so
 //! refills and first-level lookups from different lanes overlap in the
@@ -27,30 +28,23 @@
 //! sequential per-symbol `decode_counted` loop would produce; the
 //! counters are additive, so the totals across lanes are identical too.
 //! The differential proptests in `tests/proptests.rs` enforce this.
-//!
-//! With the `simd` feature (x86-64 + AVX2 at runtime), rounds of eight
-//! lanes fetch their first-level entries with one
-//! `_mm256_i32gather_epi32` over the shared flat table; the scalar
-//! kernel remains the always-on default and the arbiter of behaviour.
 
 use crate::bitio::BitReader;
 use crate::decode::{DecodeCounters, DecodeError};
 use crate::lut::LutDecoder;
 
 /// One independent bitstream to decode: `symbols` codewords starting at
-/// `start_bit` of `bytes`.
+/// `start_bit` of `bytes`, every one coded with table `table`.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamLane<'a> {
-    /// Backing buffer (typically the whole encoded image).
+    /// Backing buffer.
     pub bytes: &'a [u8],
     /// First bit of the lane's stream within `bytes`.
     pub start_bit: u64,
     /// Number of codewords to decode.
     pub symbols: usize,
-    /// Table schedule: `Some(t)` pins every codeword to table `t` (a
-    /// per-field stream); `None` follows the decoder's global cycle
-    /// from its start (a whole block).
-    pub table: Option<u32>,
+    /// The table decoding every codeword of the lane.
+    pub table: u32,
 }
 
 /// Outcome of one lane: the symbols decoded before the first error (if
@@ -68,37 +62,20 @@ pub struct LaneResult {
 }
 
 /// Per-lane cursor state while a batch is in flight.
-struct Lane<'a, 'c> {
+struct Lane<'a> {
     r: BitReader<'a>,
     out: Vec<u32>,
     total: usize,
-    /// Table schedule (the global cycle, or a pinned one-entry slice).
-    cycle: &'c [u32],
-    ci: usize,
+    /// The lane's table.
+    table: usize,
     err: Option<DecodeError>,
-}
-
-impl Lane<'_, '_> {
-    #[inline]
-    fn advance(&mut self) {
-        self.ci += 1;
-        if self.ci == self.cycle.len() {
-            self.ci = 0;
-        }
-    }
 }
 
 /// A set of [`LutDecoder`] tables plus a packed shared first level,
 /// decoding many independent streams interleaved.
-///
-/// `cycle` is the default per-symbol table schedule for lanes that are
-/// not pinned: symbol `i` uses table `cycle[i % cycle.len()]`. The
-/// stream scheme's codec uses one entry per field stream; single-table
-/// codecs use `[0]`.
 #[derive(Debug, Clone)]
 pub struct InterleavedDecoder {
     tables: Vec<LutDecoder>,
-    cycle: Vec<u32>,
     /// Packed first levels of all tables, concatenated: entry
     /// `(sym << 8) | len` for a code resolved within the index, else 0
     /// (delegate the symbol to [`LutDecoder::decode_counted`]).
@@ -126,31 +103,13 @@ pub struct InterleavedDecoder {
 }
 
 impl InterleavedDecoder {
-    /// Builds a decoder whose default schedule cycles through the
-    /// tables in order (table `i` for symbol `i mod n`).
-    pub fn new(tables: Vec<LutDecoder>) -> InterleavedDecoder {
-        let cycle = (0..tables.len() as u32).collect();
-        InterleavedDecoder::with_cycle(tables, cycle)
-    }
-
-    /// Builds a single-table decoder (schedule `[0]`).
-    pub fn single(table: LutDecoder) -> InterleavedDecoder {
-        InterleavedDecoder::with_cycle(vec![table], vec![0])
-    }
-
-    /// Builds a decoder with an explicit default table schedule.
+    /// Builds a decoder over `tables`; lanes name their table by index.
     ///
     /// # Panics
     ///
-    /// If `tables` or `cycle` is empty, or `cycle` names a table out of
-    /// range.
-    pub fn with_cycle(tables: Vec<LutDecoder>, cycle: Vec<u32>) -> InterleavedDecoder {
+    /// If `tables` is empty.
+    pub fn new(tables: Vec<LutDecoder>) -> InterleavedDecoder {
         assert!(!tables.is_empty(), "interleaved decoder needs tables");
-        assert!(!cycle.is_empty(), "interleaved decoder needs a schedule");
-        assert!(
-            cycle.iter().all(|&t| (t as usize) < tables.len()),
-            "cycle entry out of range"
-        );
         let mut packed = Vec::new();
         let mut base = Vec::with_capacity(tables.len());
         let mut bits = Vec::with_capacity(tables.len());
@@ -252,7 +211,6 @@ impl InterleavedDecoder {
         }
         InterleavedDecoder {
             tables,
-            cycle,
             packed,
             base,
             bits,
@@ -263,38 +221,12 @@ impl InterleavedDecoder {
         }
     }
 
-    /// Number of tables.
-    pub fn num_tables(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Table `t`.
-    ///
-    /// # Panics
-    ///
-    /// If `t` is out of range; see [`InterleavedDecoder::get_table`].
-    pub fn table(&self, t: usize) -> &LutDecoder {
-        &self.tables[t]
-    }
-
-    /// Table `t`, or `None` when the schedule names a table this
-    /// decoder was built without (e.g. a pair codec with no singles
-    /// book).
-    pub fn get_table(&self, t: usize) -> Option<&LutDecoder> {
-        self.tables.get(t)
-    }
-
-    /// The default per-symbol table schedule.
-    pub fn cycle(&self) -> &[u32] {
-        &self.cycle
-    }
-
     /// Decodes all lanes, round-robin, one burst of up to [`BURST`]
     /// symbols per active lane per round. Returns one [`LaneResult`]
     /// per lane, in input order.
     ///
     /// Each lane behaves exactly like a sequential loop of
-    /// [`LutDecoder::decode_counted`] over its schedule, stopping at
+    /// [`LutDecoder::decode_counted`] on its table, stopping at
     /// its first error; `counts` receives the sum of every lane's
     /// increments. Lanes are independent and the counters are
     /// additive, so the burst width is unobservable in the results.
@@ -307,57 +239,35 @@ impl InterleavedDecoder {
         lanes: &[StreamLane<'_>],
         counts: &mut DecodeCounters,
     ) -> Vec<LaneResult> {
-        for lane in lanes {
-            if let Some(t) = lane.table {
-                assert!((t as usize) < self.tables.len(), "lane table out of range");
-            }
-        }
-        // Pinned schedules live here so every lane can borrow a slice.
-        let pins: Vec<u32> = lanes.iter().map(|l| l.table.unwrap_or(0)).collect();
-        let mut states: Vec<Lane<'_, '_>> = lanes
+        let mut states: Vec<Lane<'_>> = lanes
             .iter()
-            .enumerate()
-            .map(|(i, l)| Lane {
-                r: BitReader::at_bit(l.bytes, l.start_bit),
-                out: Vec::with_capacity(l.symbols),
-                total: l.symbols,
-                cycle: match l.table {
-                    Some(_) => std::slice::from_ref(&pins[i]),
-                    None => &self.cycle,
-                },
-                ci: 0,
-                err: None,
+            .map(|l| {
+                let table = l.table as usize;
+                assert!(table < self.tables.len(), "lane table out of range");
+                Lane {
+                    r: BitReader::at_bit(l.bytes, l.start_bit),
+                    out: Vec::with_capacity(l.symbols),
+                    total: l.symbols,
+                    table,
+                    err: None,
+                }
             })
             .collect();
 
         let mut active: Vec<u32> = (0..states.len() as u32)
             .filter(|&i| states[i as usize].total > 0)
             .collect();
-        // Group pinned lanes by multi-level profitability, then packed
-        // width (cycled lanes last), so each scalar quad is uniform:
-        // multi-profitable quads take the multi-symbol kernel, equal
-        // widths let the rest share one peek shift. Lanes are
-        // independent and the counters additive, so the scheduling
-        // order is unobservable in the results.
+        // Group lanes by multi-level profitability, then packed width,
+        // so each quad is uniform: multi-profitable quads take the
+        // multi-symbol kernel, equal widths let the rest share one peek
+        // shift. Lanes are independent and the counters additive, so
+        // the scheduling order is unobservable in the results.
         active.sort_by_key(|&i| {
-            let st = &states[i as usize];
-            match st.cycle {
-                [t] => {
-                    let t = *t as usize;
-                    (!self.multi_good[t], self.bits[t])
-                }
-                _ => (true, u32::MAX),
-            }
+            let t = states[i as usize].table;
+            (!self.multi_good[t], self.bits[t])
         });
         while !active.is_empty() {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            {
-                if simd::usable() && active.len() >= simd::WIDTH {
-                    self.round_simd(&mut states, &mut active, counts);
-                    continue;
-                }
-            }
-            self.round_scalar(&mut states, &mut active, counts);
+            self.round(&mut states, &mut active, counts);
         }
 
         states
@@ -370,15 +280,10 @@ impl InterleavedDecoder {
             .collect()
     }
 
-    /// One round of the scalar kernel: active lanes run bursts in
-    /// software-pipelined groups of [`PIPE`] (single leftover lanes run
-    /// alone), then lanes that finish or fail compact out of `active`.
-    fn round_scalar(
-        &self,
-        states: &mut [Lane<'_, '_>],
-        active: &mut Vec<u32>,
-        counts: &mut DecodeCounters,
-    ) {
+    /// One round: active lanes run bursts in software-pipelined groups
+    /// of [`PIPE`] (single leftover lanes run alone), then lanes that
+    /// finish or fail compact out of `active`.
+    fn round(&self, states: &mut [Lane<'_>], active: &mut Vec<u32>, counts: &mut DecodeCounters) {
         let mut idx = 0;
         while idx + PIPE <= active.len() {
             let ids = [
@@ -387,15 +292,10 @@ impl InterleavedDecoder {
                 active[idx + 2] as usize,
                 active[idx + 3] as usize,
             ];
-            let pinned = ids.iter().all(|&li| states[li].cycle.len() == 1);
             let lanes = states
                 .get_disjoint_mut(ids)
                 .expect("active lane ids are distinct");
-            let miss = if pinned {
-                self.burst_quad_pinned(lanes, counts)
-            } else {
-                self.burst_quad(lanes, counts)
-            };
+            let miss = self.burst_quad_pinned(lanes, counts);
             for (j, &li) in ids.iter().enumerate() {
                 if miss[j] {
                     // The quad stopped this lane on a symbol it cannot
@@ -423,113 +323,15 @@ impl InterleavedDecoder {
     /// is the whole point of interleaving (module docs). Stops when any
     /// lane reaches its burst quota or misses the fast path; `miss[j]`
     /// tells the caller lane `j` still owes a slow-path symbol.
-    fn burst_quad(
-        &self,
-        lanes: [&mut Lane<'_, '_>; PIPE],
-        counts: &mut DecodeCounters,
-    ) -> [bool; PIPE] {
-        let [l0, l1, l2, l3] = lanes;
-        let mut syms = 0u64;
-        let mut stall = 0u64;
-        let mut miss = [false; PIPE];
-        // Output goes through raw cursors into pre-reserved capacity: a
-        // `Vec::push` in the body would put a (cold) realloc call in the
-        // loop, forcing every pipelined cursor to spill across it.
-        macro_rules! lane_locals {
-            ($l:ident => $c:ident, $ci:ident, $by:ident, $p:ident, $a:ident, $n:ident, $q:ident, $rem:ident, $o:ident) => {
-                let $c = $l.cycle;
-                let mut $ci = $l.ci;
-                let ($by, mut $p, mut $a, mut $n) = $l.r.raw_parts();
-                let $q = ($l.total - $l.out.len()).min(BURST);
-                $l.out.reserve($q);
-                let mut $o = $l.out.as_mut_ptr().wrapping_add($l.out.len());
-                let mut $rem = $q;
-            };
-        }
-        lane_locals!(l0 => c0, ci0, by0, p0, a0, n0, q0, rem0, o0);
-        lane_locals!(l1 => c1, ci1, by1, p1, a1, n1, q1, rem1, o1);
-        lane_locals!(l2 => c2, ci2, by2, p2, a2, n2, q2, rem2, o2);
-        lane_locals!(l3 => c3, ci3, by3, p3, a3, n3, q3, rem3, o3);
-        'pipe: loop {
-            macro_rules! step {
-                ($j:tt, $c:ident, $ci:ident, $by:ident, $p:ident, $a:ident, $n:ident, $rem:ident, $o:ident) => {{
-                    // SAFETY: ci < cycle.len() (wrap-around below), every
-                    // cycle entry indexes a real table (asserted at build
-                    // and decode entry), `bits`/`base` are tables-parallel,
-                    // and base[t] + peek < packed.len() because the peek is
-                    // below 2^bits[t] and packed holds 2^bits[t] entries at
-                    // base[t]. Checked indexing here costs ~16 extra
-                    // branches per pipelined iteration.
-                    let t = unsafe { *$c.get_unchecked($ci) } as usize;
-                    let bits = unsafe { *self.bits.get_unchecked(t) };
-                    if $n < bits {
-                        crate::bitio::refill_parts($by, $p, &mut $a, &mut $n);
-                        if $n < bits {
-                            miss[$j] = true;
-                            break 'pipe;
-                        }
-                    }
-                    let idx = (unsafe { *self.base.get_unchecked(t) } + ($a >> (64 - bits)) as u32)
-                        as usize;
-                    let e = unsafe { *self.packed.get_unchecked(idx) };
-                    let len = e & 0xFF;
-                    if len == 0 {
-                        miss[$j] = true;
-                        break 'pipe;
-                    }
-                    $a <<= len;
-                    $n -= len;
-                    $p += len as u64;
-                    syms += 1;
-                    stall += len as u64;
-                    // SAFETY: at most `q` symbols are written (rem counts
-                    // down from q and the loop exits at 0), all within the
-                    // capacity reserved above.
-                    unsafe { *$o = e >> 8 };
-                    $o = $o.wrapping_add(1);
-                    $ci += 1;
-                    if $ci == $c.len() {
-                        $ci = 0;
-                    }
-                    $rem -= 1;
-                }};
-            }
-            step!(0, c0, ci0, by0, p0, a0, n0, rem0, o0);
-            step!(1, c1, ci1, by1, p1, a1, n1, rem1, o1);
-            step!(2, c2, ci2, by2, p2, a2, n2, rem2, o2);
-            step!(3, c3, ci3, by3, p3, a3, n3, rem3, o3);
-            if rem0 == 0 || rem1 == 0 || rem2 == 0 || rem3 == 0 {
-                break;
-            }
-        }
-        macro_rules! commit {
-            ($l:ident, $ci:ident, $p:ident, $a:ident, $n:ident, $q:ident, $rem:ident) => {{
-                $l.r.set_raw_parts($p, $a, $n);
-                $l.ci = $ci;
-                // SAFETY: exactly q - rem symbols were written past the old
-                // length, within reserved capacity.
-                unsafe { $l.out.set_len($l.out.len() + ($q - $rem)) };
-            }};
-        }
-        commit!(l0, ci0, p0, a0, n0, q0, rem0);
-        commit!(l1, ci1, p1, a1, n1, q1, rem1);
-        commit!(l2, ci2, p2, a2, n2, q2, rem2);
-        commit!(l3, ci3, p3, a3, n3, q3, rem3);
-        counts.symbols += syms;
-        counts.stall_bits += stall;
-        miss
-    }
-
-    /// [`Self::burst_quad`] specialized for four table-pinned lanes
-    /// (`cycle.len() == 1`), the shape the per-stream throughput tier
-    /// uses. The table, its width and its packed first level are
+    ///
+    /// Each lane's table, its width and its packed first level are
     /// loop-invariant, and symbol/stall counters fall out of the
     /// output-pointer and bit-position deltas after the loop, so each
     /// lane carries just six live values — little enough that the hot
     /// state stays in registers instead of spilling to the stack.
     fn burst_quad_pinned(
         &self,
-        lanes: [&mut Lane<'_, '_>; PIPE],
+        lanes: [&mut Lane<'_>; PIPE],
         counts: &mut DecodeCounters,
     ) -> [bool; PIPE] {
         // Monomorphize the stride length on the widest first level in
@@ -537,7 +339,7 @@ impl InterleavedDecoder {
         // the ≥57 bits a refill guarantees.
         let maxb = lanes
             .iter()
-            .map(|l| self.bits[l.cycle[0] as usize])
+            .map(|l| self.bits[l.table])
             .max()
             .expect("PIPE > 0");
         // Quads with enough quota headroom take the multi-symbol
@@ -560,9 +362,10 @@ impl InterleavedDecoder {
             20..=28 => 2,
             _ => 1,
         };
-        if lanes.iter().all(|l| {
-            self.multi_good[l.cycle[0] as usize] && l.total - l.out.len() >= MULTI * multi_g
-        }) {
+        if lanes
+            .iter()
+            .all(|l| self.multi_good[l.table] && l.total - l.out.len() >= MULTI * multi_g)
+        {
             return match multi_g {
                 6 => self.burst_quad_pinned_multi_g::<6>(lanes, counts),
                 5 => self.burst_quad_pinned_multi_g::<5>(lanes, counts),
@@ -595,14 +398,14 @@ impl InterleavedDecoder {
     /// remainder in a checked per-symbol tail.
     fn burst_quad_pinned_g<const G: usize>(
         &self,
-        lanes: [&mut Lane<'_, '_>; PIPE],
+        lanes: [&mut Lane<'_>; PIPE],
         counts: &mut DecodeCounters,
     ) -> [bool; PIPE] {
         let [l0, l1, l2, l3] = lanes;
         let mut miss = [false; PIPE];
         macro_rules! lane_locals {
             ($l:ident => $ti:ident, $w:ident, $pt:ident, $by:ident, $p:ident, $a:ident, $n:ident, $q:ident, $os:ident) => {
-                let $ti = $l.cycle[0] as usize;
+                let $ti = $l.table;
                 let $w = self.bits[$ti];
                 // SAFETY: the packed first level of table `ti` starts at
                 // base[ti] and holds 2^w entries (constructor), and every
@@ -769,12 +572,12 @@ impl InterleavedDecoder {
     /// the single-symbol tiers.
     fn burst_quad_pinned_multi_g<const G: usize>(
         &self,
-        lanes: [&mut Lane<'_, '_>; PIPE],
+        lanes: [&mut Lane<'_>; PIPE],
         counts: &mut DecodeCounters,
     ) -> [bool; PIPE] {
         let wm = lanes
             .iter()
-            .map(|l| self.bits[l.cycle[0] as usize])
+            .map(|l| self.bits[l.table])
             .max()
             .expect("PIPE > 0")
             .max(MULTI_BITS);
@@ -782,7 +585,7 @@ impl InterleavedDecoder {
         let mut miss = [false; PIPE];
         macro_rules! lane_locals {
             ($l:ident => $mt:ident, $pt:ident, $sh:ident, $by:ident, $p:ident, $a:ident, $n:ident, $q:ident, $os:ident) => {
-                let ti = $l.cycle[0] as usize;
+                let ti = $l.table;
                 // SAFETY: table ti's multi level spans `multi_base[ti]
                 // .. + MULTI_ROW << MULTI_BITS` (constructor) and its
                 // packed level `base[ti] .. + 2^bits[ti]`; every peek
@@ -870,7 +673,7 @@ impl InterleavedDecoder {
     /// register-resident hot loop, each miss delegated per-symbol to
     /// the slow path between runs.
     #[inline]
-    fn burst(&self, st: &mut Lane<'_, '_>, counts: &mut DecodeCounters) {
+    fn burst(&self, st: &mut Lane<'_>, counts: &mut DecodeCounters) {
         let goal = (st.out.len() + BURST).min(st.total);
         loop {
             if !self.burst_hot(st, counts, goal) {
@@ -879,8 +682,7 @@ impl InterleavedDecoder {
             // The hot loop stopped on a symbol it cannot fast-path
             // (short refill, long code, corrupt prefix): delegate that
             // one symbol whole, then resume the hot loop.
-            let t = st.cycle[st.ci] as usize;
-            self.step_slow(t, st, counts);
+            self.step_slow(st, counts);
             if st.err.is_some() || st.out.len() >= goal {
                 return;
             }
@@ -895,16 +697,14 @@ impl InterleavedDecoder {
     /// first symbol the packed first level cannot resolve (returns
     /// `true` with the cursor committed just before that symbol, for
     /// the caller to delegate — bit-exactly [`Self::step`]'s order).
-    fn burst_hot(&self, st: &mut Lane<'_, '_>, counts: &mut DecodeCounters, goal: usize) -> bool {
-        let cycle = st.cycle;
-        let mut ci = st.ci;
+    fn burst_hot(&self, st: &mut Lane<'_>, counts: &mut DecodeCounters, goal: usize) -> bool {
+        let t = st.table;
+        let bits = self.bits[t];
         let (bytes, mut pos, mut acc, mut nbits) = st.r.raw_parts();
         let mut syms = 0u64;
         let mut stall = 0u64;
         let mut miss = false;
         while st.out.len() < goal {
-            let t = cycle[ci] as usize;
-            let bits = self.bits[t];
             if nbits < bits {
                 crate::bitio::refill_parts(bytes, pos, &mut acc, &mut nbits);
                 if nbits < bits {
@@ -924,13 +724,8 @@ impl InterleavedDecoder {
             syms += 1;
             stall += len as u64;
             st.out.push(e >> 8);
-            ci += 1;
-            if ci == cycle.len() {
-                ci = 0;
-            }
         }
         st.r.set_raw_parts(pos, acc, nbits);
-        st.ci = ci;
         counts.symbols += syms;
         counts.stall_bits += stall;
         miss
@@ -940,104 +735,11 @@ impl InterleavedDecoder {
     /// [`LutDecoder::decode_counted`] (which replays the refill and
     /// table consultation bit-exactly).
     #[cold]
-    fn step_slow(&self, t: usize, st: &mut Lane<'_, '_>, counts: &mut DecodeCounters) {
-        match self.tables[t].decode_counted(&mut st.r, counts) {
-            Ok(sym) => {
-                st.out.push(sym);
-                st.advance();
-            }
+    fn step_slow(&self, st: &mut Lane<'_>, counts: &mut DecodeCounters) {
+        match self.tables[st.table].decode_counted(&mut st.r, counts) {
+            Ok(sym) => st.out.push(sym),
             Err(e) => st.err = Some(e),
         }
-    }
-
-    /// One round of the AVX2 kernel: groups of eight active lanes run
-    /// lockstep bursts — each step fetches all eight first-level
-    /// entries with a single gather over the shared packed table, and
-    /// lanes that cannot take the fast path on a step (short refill,
-    /// long code, corrupt prefix) fall through to the scalar slow path
-    /// for that symbol. Per-lane behaviour is identical to the scalar
-    /// kernel.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    fn round_simd(
-        &self,
-        states: &mut [Lane<'_, '_>],
-        active: &mut Vec<u32>,
-        counts: &mut DecodeCounters,
-    ) {
-        let mut kept = 0;
-        let mut idx = 0;
-        while idx < active.len() {
-            if active.len() - idx < simd::WIDTH {
-                // Ragged tail of the round: scalar burst.
-                let li = active[idx] as usize;
-                let st = &mut states[li];
-                self.burst(st, counts);
-                if st.err.is_none() && st.out.len() < st.total {
-                    active[kept] = li as u32;
-                    kept += 1;
-                }
-                idx += 1;
-                continue;
-            }
-            let group: [u32; simd::WIDTH] = active[idx..idx + simd::WIDTH].try_into().unwrap();
-            let goals: [usize; simd::WIDTH] = std::array::from_fn(|j| {
-                let st = &states[group[j] as usize];
-                (st.out.len() + BURST).min(st.total)
-            });
-            // Lockstep burst: every step gathers the group's entries.
-            'burst: loop {
-                let mut flat = [0u32; simd::WIDTH];
-                let mut eligible = [false; simd::WIDTH];
-                for (j, &li) in group.iter().enumerate() {
-                    let st = &mut states[li as usize];
-                    if st.err.is_some() || st.out.len() >= goals[j] {
-                        continue;
-                    }
-                    let t = st.cycle[st.ci] as usize;
-                    let bits = self.bits[t];
-                    if st.r.available() < bits {
-                        st.r.refill();
-                    }
-                    if st.r.available() >= bits {
-                        flat[j] = self.base[t] + st.r.peek(bits) as u32;
-                        eligible[j] = true;
-                    }
-                }
-                let entries = simd::gather(&self.packed, &flat);
-                let mut live = false;
-                for (j, &li) in group.iter().enumerate() {
-                    let st = &mut states[li as usize];
-                    if st.err.is_some() || st.out.len() >= goals[j] {
-                        continue;
-                    }
-                    let e = entries[j];
-                    let len = e & 0xFF;
-                    if eligible[j] && len != 0 {
-                        st.r.consume(len);
-                        counts.symbols += 1;
-                        counts.stall_bits += len as u64;
-                        st.out.push(e >> 8);
-                        st.advance();
-                    } else {
-                        let t = st.cycle[st.ci] as usize;
-                        self.step_slow(t, st, counts);
-                    }
-                    live |= st.err.is_none() && st.out.len() < goals[j];
-                }
-                if !live {
-                    break 'burst;
-                }
-            }
-            for &li in &group {
-                let st = &states[li as usize];
-                if st.err.is_none() && st.out.len() < st.total {
-                    active[kept] = li;
-                    kept += 1;
-                }
-            }
-            idx += simd::WIDTH;
-        }
-        active.truncate(kept);
     }
 }
 
@@ -1551,52 +1253,14 @@ fn stride_quad_multi_impl<const G: usize>(mut st: MultiLanes, w: u32) -> (MultiL
     (st, mask)
 }
 
-/// AVX2 gather over the shared packed first level. Runtime-detected;
-/// the scalar fallback keeps `--features simd` building (and correct)
-/// on machines without AVX2.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod simd {
-    /// Lanes per gather.
-    pub const WIDTH: usize = 8;
-
-    /// Whether the vector path is usable on this machine.
-    #[inline]
-    pub fn usable() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-
-    /// Fetches `table[idx[j]]` for all eight lanes.
-    #[inline]
-    pub fn gather(table: &[u32], idx: &[u32; WIDTH]) -> [u32; WIDTH] {
-        debug_assert!(idx.iter().all(|&i| (i as usize) < table.len()));
-        if usable() {
-            // SAFETY: AVX2 confirmed at runtime; every index is in
-            // bounds (packed-table offsets computed from table peeks).
-            unsafe { gather_avx2(table, idx) }
-        } else {
-            std::array::from_fn(|j| table[idx[j] as usize])
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn gather_avx2(table: &[u32], idx: &[u32; WIDTH]) -> [u32; WIDTH] {
-        use std::arch::x86_64::*;
-        let offsets = _mm256_loadu_si256(idx.as_ptr() as *const __m256i);
-        let got = _mm256_i32gather_epi32::<4>(table.as_ptr() as *const i32, offsets);
-        let mut out = [0u32; WIDTH];
-        _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, got);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bitio::BitWriter;
     use crate::code::CodeBook;
 
-    /// Sequential model: per-symbol `decode_counted` over the lane's
-    /// schedule, stopping at the first error.
+    /// Sequential model: per-symbol `decode_counted` on the lane's
+    /// table, stopping at the first error.
     fn decode_lane_sequential(
         dec: &InterleavedDecoder,
         lane: &StreamLane<'_>,
@@ -1605,12 +1269,8 @@ mod tests {
         let mut r = BitReader::at_bit(lane.bytes, lane.start_bit);
         let mut syms = Vec::new();
         let mut err = None;
-        for i in 0..lane.symbols {
-            let t = match lane.table {
-                Some(t) => t as usize,
-                None => dec.cycle()[i % dec.cycle().len()] as usize,
-            };
-            match dec.table(t).decode_counted(&mut r, counts) {
+        for _ in 0..lane.symbols {
+            match dec.tables[lane.table as usize].decode_counted(&mut r, counts) {
                 Ok(s) => syms.push(s),
                 Err(e) => {
                     err = Some(e);
@@ -1663,13 +1323,13 @@ mod tests {
                 bytes: &s0,
                 start_bit: 0,
                 symbols: m0.len(),
-                table: Some(0),
+                table: 0,
             },
             StreamLane {
                 bytes: &s1,
                 start_bit: 0,
                 symbols: m1.len(),
-                table: Some(1),
+                table: 1,
             },
         ];
         let mut c = DecodeCounters::default();
@@ -1682,38 +1342,12 @@ mod tests {
     }
 
     #[test]
-    fn cycled_lane_decodes_alternating_tables() {
-        let b0 = book(&[9, 3, 1]);
-        let b1 = book(&[1, 2, 4, 8]);
-        let dec = InterleavedDecoder::new(vec![b0.lut_decoder(), b1.lut_decoder()]);
-        let mut w = BitWriter::new();
-        let mut want = Vec::new();
-        for i in 0..40u32 {
-            let (b, m) = if i % 2 == 0 { (&b0, 3) } else { (&b1, 4) };
-            b.encode_into(i % m, &mut w);
-            want.push(i % m);
-        }
-        let bytes = w.into_bytes();
-        let lanes = [StreamLane {
-            bytes: &bytes,
-            start_bit: 0,
-            symbols: 40,
-            table: None,
-        }];
-        let mut c = DecodeCounters::default();
-        let res = dec.decode_streams(&lanes, &mut c);
-        assert_eq!(res[0].syms, want);
-        assert_eq!(res[0].err, None);
-        assert_matches_sequential(&dec, &lanes);
-    }
-
-    #[test]
     fn long_codes_and_garbage_match_sequential() {
         // Exponential freqs force codes past the first level.
         let freqs: Vec<u64> = (0..30).map(|i| 1u64 << i).collect();
         let b = book(&freqs);
         assert!(b.max_len() > crate::lut::DEFAULT_LUT_BITS as u8);
-        let dec = InterleavedDecoder::single(b.lut_decoder());
+        let dec = InterleavedDecoder::new(vec![b.lut_decoder()]);
         let msg: Vec<u32> = (0..30).chain((0..30).rev()).collect();
         let good = encode(&b, &msg);
         // Deterministic garbage.
@@ -1732,20 +1366,20 @@ mod tests {
                     bytes: &good,
                     start_bit: 0,
                     symbols: msg.len(),
-                    table: Some(0),
+                    table: 0,
                 },
                 // Over-ask: runs off the end of the good stream.
                 StreamLane {
                     bytes: &good,
                     start_bit: start,
                     symbols: msg.len() + 4,
-                    table: Some(0),
+                    table: 0,
                 },
                 StreamLane {
                     bytes: &junk,
                     start_bit: start,
                     symbols: 1000,
-                    table: Some(0),
+                    table: 0,
                 },
             ];
             assert_matches_sequential(&dec, &lanes);
@@ -1755,26 +1389,26 @@ mod tests {
     #[test]
     fn truncated_and_empty_lanes() {
         let b = book(&[1, 1, 1, 1]);
-        let dec = InterleavedDecoder::single(b.lut_decoder());
+        let dec = InterleavedDecoder::new(vec![b.lut_decoder()]);
         let bytes = encode(&b, &[0, 1, 2, 3]);
         let lanes = [
             StreamLane {
                 bytes: &[],
                 start_bit: 0,
                 symbols: 3,
-                table: Some(0),
+                table: 0,
             },
             StreamLane {
                 bytes: &bytes,
                 start_bit: 0,
                 symbols: 0,
-                table: Some(0),
+                table: 0,
             },
             StreamLane {
                 bytes: &bytes,
                 start_bit: 7,
                 symbols: 9,
-                table: Some(0),
+                table: 0,
             },
         ];
         let mut c = DecodeCounters::default();
@@ -1793,10 +1427,9 @@ mod tests {
 
     #[test]
     fn many_lanes_shared_buffer_interleave() {
-        // 32 lanes carved from one buffer at staggered bit offsets,
-        // mimicking batch decode of blocks in a shared image.
+        // 32 lanes carved from one shared buffer at staggered bit offsets.
         let b = book(&[13, 7, 5, 3, 2, 1, 1, 1]);
-        let dec = InterleavedDecoder::single(b.lut_decoder());
+        let dec = InterleavedDecoder::new(vec![b.lut_decoder()]);
         let mut w = BitWriter::new();
         let mut starts = Vec::new();
         let mut msgs: Vec<Vec<u32>> = Vec::new();
@@ -1816,7 +1449,7 @@ mod tests {
                 bytes: &bytes,
                 start_bit,
                 symbols: m.len(),
-                table: Some(0),
+                table: 0,
             })
             .collect();
         let mut c = DecodeCounters::default();
@@ -1831,14 +1464,14 @@ mod tests {
     #[test]
     fn counters_fold_across_lanes() {
         let b = book(&[8, 4, 2, 1]);
-        let dec = InterleavedDecoder::single(b.lut_decoder());
+        let dec = InterleavedDecoder::new(vec![b.lut_decoder()]);
         let m: Vec<u32> = (0..4).cycle().take(25).collect();
         let bytes = encode(&b, &m);
         let lane = StreamLane {
             bytes: &bytes,
             start_bit: 0,
             symbols: m.len(),
-            table: Some(0),
+            table: 0,
         };
         let mut c = DecodeCounters::default();
         dec.decode_streams(&[lane, lane, lane], &mut c);

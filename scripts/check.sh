@@ -54,9 +54,12 @@ echo "==> chaos self-healing smoke"
 # CCC_CHAOS_SMOKE=1 runs one reduced chaos campaign: the full figure
 # pipeline under injected cache/pool/stage/decode faults must emit
 # byte-identical figures, reconcile every injected fault against a
-# recovery action, and cover every site class. The verdict lands in
-# results/CHAOS_report.json (uploaded by CI).
-CCC_CHAOS_SMOKE=1 ./target/release/tepic-cc chaos --seed 42 >/dev/null
+# recovery action, and cover every site class. The verdict goes to a
+# scratch file: the report records the host's job count, so writing it
+# over the committed results/CHAOS_report.json would dirty the tree.
+CCC_CHAOS_OUT="${TMPDIR:-/tmp}/ccc-chaos-smoke-$$.json"
+CCC_CHAOS_SMOKE=1 ./target/release/tepic-cc chaos --seed 42 --out "$CCC_CHAOS_OUT" >/dev/null
+rm -f "$CCC_CHAOS_OUT"
 echo "figures byte-identical under fault injection; recovery reconciled"
 
 echo "==> synthetic workload generation smoke"
@@ -71,14 +74,6 @@ CCC_GEN_SMOKE=1 ./target/release/tepic-cc gen --seed 42 --tier 10x \
     --out "$CCC_GEN_DIR" >/dev/null
 rm -rf "$CCC_GEN_DIR"
 echo "generated 10x tier calibrated within 5 pp; pipeline + campaign clean"
-
-echo "==> simd feature build + tests"
-# The AVX2 gather path is off by default; build and test the huffman
-# and core crates with it on so the feature can't rot. The kernels
-# runtime-detect AVX2, so this is safe on any x86-64 (and the scalar
-# fallback keeps other arches green).
-cargo test -q -p tinker-huffman -p ccc-core --features tinker-huffman/simd,ccc-core/simd
-echo "simd feature builds and passes tests"
 
 echo "==> decode throughput smoke"
 # Short measurement; exits non-zero on any decode regression floor:

@@ -149,7 +149,7 @@ use std::time::Instant;
 use tepic_ccc::bench::engine::cache::write_atomic;
 use tepic_ccc::bench::engine::Engine;
 use tepic_ccc::bench::figures::{self, Figure, FIGURES};
-use tepic_ccc::bench::history::{self, build_features};
+use tepic_ccc::bench::history;
 use tepic_ccc::bench::Prepared;
 use tepic_ccc::ccc::pla::emit_tailored_decoder_verilog;
 use tepic_ccc::ccc::schemes::tailored::TailoredSpec;
@@ -180,14 +180,7 @@ fn usage() -> ExitCode {
 /// wall-clock) and reports success. Failed runs never reach this, so
 /// aborted-early wall times cannot poison the sentinel's baselines.
 fn finish_file_cmd(cmd: &str, seed: u64, engine: &Engine, t0: Instant) -> ExitCode {
-    let rec = history::engine_record(
-        cmd,
-        seed,
-        build_features(),
-        0,
-        engine,
-        t0.elapsed().as_nanos() as u64,
-    );
+    let rec = history::engine_record(cmd, seed, 0, engine, t0.elapsed().as_nanos() as u64);
     history::append_best_effort(&rec);
     ExitCode::SUCCESS
 }
@@ -654,7 +647,6 @@ fn bench_cmd(args: &[String]) -> ExitCode {
     let mut rec = history::engine_record(
         &format!("bench/{figure_label}"),
         0,
-        build_features(),
         0,
         &engine,
         t0.elapsed().as_nanos() as u64,
@@ -830,7 +822,6 @@ fn trace_cmd(args: &[String]) -> ExitCode {
     let mut rec = history::engine_record(
         &format!("trace/{}/{scheme}", w.name),
         0,
-        build_features(),
         0,
         &engine,
         t0.elapsed().as_nanos() as u64,
@@ -1236,7 +1227,6 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
         let rec = history::base_record(
             &format!("chaos/{mode}"),
             seed,
-            build_features(),
             0,
             t0.elapsed().as_nanos() as u64,
         );
@@ -1566,7 +1556,6 @@ fn gen_cmd(args: &[String]) -> ExitCode {
         let rec = history::engine_record(
             &format!("gen/{}", tier.name()),
             seed,
-            build_features(),
             0,
             &engine,
             start.elapsed().as_nanos() as u64,
@@ -1995,14 +1984,7 @@ fn perf_attr(jobs: usize) -> bool {
         path.len()
     );
 
-    let rec = history::engine_record(
-        "perf_attr",
-        0,
-        build_features(),
-        0,
-        &engine,
-        wall.as_nanos() as u64,
-    );
+    let rec = history::engine_record("perf_attr", 0, 0, &engine, wall.as_nanos() as u64);
     history::append_best_effort(&rec);
     true
 }
@@ -2346,13 +2328,7 @@ fn loadgen_cmd(args: &[String]) -> ExitCode {
     }
     println!("results -> {out_path}");
 
-    let mut rec = history::base_record(
-        "serve/loadgen",
-        seed,
-        build_features(),
-        0,
-        t0.elapsed().as_nanos() as u64,
-    );
+    let mut rec = history::base_record("serve/loadgen", seed, 0, t0.elapsed().as_nanos() as u64);
     rec.samples
         .insert("throughput_per_s".to_string(), throughput);
     rec.samples.insert("hot_p50_ns".to_string(), hot_p50 as f64);

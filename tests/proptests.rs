@@ -747,9 +747,9 @@ proptest! {
     }
 }
 
-// ---- The interleaved / batch throughput tier (DESIGN.md §15) ----
+// ---- The interleaved throughput tier and whole-image decode (DESIGN.md §15) ----
 
-use tepic_ccc::huffman::{DecodeCounters, InterleavedDecoder, LaneResult, StreamLane};
+use tepic_ccc::huffman::{DecodeCounters, InterleavedDecoder, LaneResult, LutDecoder, StreamLane};
 
 /// Sequential reference for the interleaved decoder: one symbol at a
 /// time through each lane's `LutDecoder` (itself differentially pinned
@@ -757,7 +757,7 @@ use tepic_ccc::huffman::{DecodeCounters, InterleavedDecoder, LaneResult, StreamL
 /// must be observationally identical — same symbols, same error variant
 /// at the same bit position, same counter totals.
 fn decode_lanes_sequential(
-    dec: &InterleavedDecoder,
+    tables: &[LutDecoder],
     lanes: &[StreamLane<'_>],
     counts: &mut DecodeCounters,
 ) -> Vec<LaneResult> {
@@ -767,12 +767,8 @@ fn decode_lanes_sequential(
             let mut r = BitReader::at_bit(lane.bytes, lane.start_bit);
             let mut syms = Vec::new();
             let mut err = None;
-            for i in 0..lane.symbols {
-                let t = match lane.table {
-                    Some(t) => t as usize,
-                    None => dec.cycle()[i % dec.cycle().len()] as usize,
-                };
-                match dec.table(t).decode_counted(&mut r, counts) {
+            for _ in 0..lane.symbols {
+                match tables[lane.table as usize].decode_counted(&mut r, counts) {
                     Ok(s) => syms.push(s),
                     Err(e) => {
                         err = Some(e);
@@ -801,7 +797,8 @@ proptest! {
     ) {
         let books: Vec<CodeBook> =
             books_raw.iter().map(|f| CodeBook::from_freqs(f).unwrap()).collect();
-        let dec = InterleavedDecoder::new(books.iter().map(CodeBook::lut_decoder).collect());
+        let tables: Vec<LutDecoder> = books.iter().map(CodeBook::lut_decoder).collect();
+        let dec = InterleavedDecoder::new(tables.clone());
         let mut store: Vec<(Vec<u8>, Vec<u32>, u32)> = Vec::new();
         for &(seed, n) in &lanes_raw {
             let bi = (seed % books.len() as u64) as usize;
@@ -823,7 +820,7 @@ proptest! {
                 bytes: b,
                 start_bit: 0,
                 symbols: m.len(),
-                table: Some(*t),
+                table: *t,
             })
             .collect();
         let mut ic = DecodeCounters::default();
@@ -833,37 +830,32 @@ proptest! {
             prop_assert_eq!(&r.syms, m);
         }
         let mut sc = DecodeCounters::default();
-        let want = decode_lanes_sequential(&dec, &lanes, &mut sc);
+        let want = decode_lanes_sequential(&tables, &lanes, &mut sc);
         prop_assert_eq!(got, want);
         prop_assert_eq!(ic, sc, "counter totals diverge");
     }
 
-    /// Garbage bytes, arbitrary start offsets, over-asked symbol counts
-    /// and cycled (unpinned) lanes: the interleaved decoder reports the
-    /// same per-lane error at the same bit position as the reference.
+    /// Garbage bytes, arbitrary start offsets and over-asked symbol
+    /// counts: the interleaved decoder reports the same per-lane error
+    /// at the same bit position as the reference.
     #[test]
     fn interleaved_matches_sequential_on_garbage(
         freqs in prop::collection::vec(1u64..500, 2..24),
         bytes in prop::collection::vec(any::<u8>(), 0..64),
         start in 0u64..8,
         ask in 0usize..300,
-        pin in any::<bool>(),
     ) {
         let book = CodeBook::from_freqs(&freqs).unwrap();
-        let dec = InterleavedDecoder::single(book.lut_decoder());
+        let tables = [book.lut_decoder()];
+        let dec = InterleavedDecoder::new(tables.to_vec());
         let lanes = [
-            StreamLane {
-                bytes: &bytes,
-                start_bit: start,
-                symbols: ask,
-                table: if pin { Some(0) } else { None },
-            },
-            StreamLane { bytes: &bytes, start_bit: 0, symbols: ask / 2, table: Some(0) },
+            StreamLane { bytes: &bytes, start_bit: start, symbols: ask, table: 0 },
+            StreamLane { bytes: &bytes, start_bit: 0, symbols: ask / 2, table: 0 },
         ];
         let mut ic = DecodeCounters::default();
         let got = dec.decode_streams(&lanes, &mut ic);
         let mut sc = DecodeCounters::default();
-        let want = decode_lanes_sequential(&dec, &lanes, &mut sc);
+        let want = decode_lanes_sequential(&tables, &lanes, &mut sc);
         prop_assert_eq!(got, want);
         prop_assert_eq!(ic, sc, "counter totals diverge");
     }
@@ -887,17 +879,18 @@ proptest! {
         }
         let mut bytes = w.into_bytes();
         bytes.truncate(bytes.len() * cut_pct as usize / 100);
-        let dec = InterleavedDecoder::single(book.lut_decoder());
+        let tables = [book.lut_decoder()];
+        let dec = InterleavedDecoder::new(tables.to_vec());
         let lanes = [StreamLane {
             bytes: &bytes,
             start_bit: 0,
             symbols: n + extra,
-            table: Some(0),
+            table: 0,
         }];
         let mut ic = DecodeCounters::default();
         let got = dec.decode_streams(&lanes, &mut ic);
         let mut sc = DecodeCounters::default();
-        let want = decode_lanes_sequential(&dec, &lanes, &mut sc);
+        let want = decode_lanes_sequential(&tables, &lanes, &mut sc);
         prop_assert_eq!(got, want);
         prop_assert_eq!(ic, sc, "counter totals diverge");
     }

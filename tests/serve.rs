@@ -91,6 +91,19 @@ fn gauge(addr: SocketAddr, name: &str) -> Option<f64> {
         .and_then(|g| g.as_f64())
 }
 
+/// Jobs pushed onto the admission queue so far: the `metrics` op's
+/// `serve.queue_depth` histogram observes every push.
+fn enqueued(addr: SocketAddr) -> u64 {
+    let m = roundtrip(&mut connect(addr), &Request::Metrics);
+    let v = parse_json(std::str::from_utf8(&m).unwrap()).unwrap();
+    v.get("metrics")
+        .and_then(|m| m.get("histograms"))
+        .and_then(|h| h.get("serve.queue_depth"))
+        .and_then(|h| h.get("count"))
+        .and_then(|c| c.as_f64())
+        .map_or(0, |c| c as u64)
+}
+
 fn error_kind(reply: &[u8]) -> Option<String> {
     let v = parse_json(std::str::from_utf8(reply).unwrap()).unwrap();
     v.get("error")
@@ -247,14 +260,17 @@ fn full_admission_queue_answers_busy() {
     let src_c = small_source(33);
 
     std::thread::scope(|scope| {
-        // A is dequeued by the dispatcher and parked at the gate.
+        // A is dequeued by the dispatcher and parked at the gate. Wait
+        // for A's push first, then for the empty queue: an empty queue
+        // seen before the push would let C in ahead of B (and C would
+        // then wait at the closed gate forever).
         let a = scope.spawn({
             let req = job(JobOp::Encode, "busy-a", &src_a, "byte", 0);
             move || roundtrip(&mut connect(addr), &req)
         });
+        poll_until("job A to enter the queue", || enqueued(addr) >= 1);
         poll_until("dispatcher to claim job A", || {
             gauge(addr, "serve.queue_len") == Some(0.0)
-                && server.registry().counter("serve.requests").get() >= 1
         });
         // B fills the queue (depth 1).
         let b = scope.spawn({
