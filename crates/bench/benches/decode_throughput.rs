@@ -35,7 +35,9 @@
 //!   lanes) below `CCC_DECODE_AGG_FLOOR` MB/s (default 1000 — the
 //!   Issue-8 "≥ 1 GB/s aggregate" headline; measured ≈ 2.4 GB/s).
 //!
-//! Set `CCC_DECODE_SMOKE=1` for a short smoke measurement.
+//! Set `CCC_DECODE_SMOKE=1` for a short smoke measurement. A smoke run
+//! writes both files under Cargo's `target/tmp` instead, so it leaves
+//! the committed `results/` files alone.
 
 use ccc_bench::engine::cache::write_atomic;
 use ccc_bench::history::{self, SentinelConfig};
@@ -829,7 +831,11 @@ fn main() {
 
     let table = render_table(&measured, &names);
     print!("\n{table}");
-    let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+    let results = if smoke {
+        env!("CARGO_TARGET_TMPDIR")
+    } else {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../results")
+    };
     write_atomic(format!("{results}/decode_throughput.txt"), table.as_bytes()).unwrap();
     write_atomic(
         format!("{results}/BENCH_decode.json"),
@@ -847,7 +853,7 @@ fn main() {
         .as_bytes(),
     )
     .unwrap();
-    println!("wrote results/decode_throughput.txt and results/BENCH_decode.json");
+    println!("wrote {results}/decode_throughput.txt and {results}/BENCH_decode.json");
 
     // Gate 1: on the byte scheme every code fits the first-level LUT,
     // so a slower LUT path means the fast path has regressed.

@@ -1,21 +1,23 @@
 //! The `tepic-ccd` serving layer (DESIGN.md §17): a std-only TCP
 //! daemon that accepts compile/encode/simulate/faultsim jobs over the
-//! length-prefixed JSON protocol in [`proto`], shards them across
-//! [`crate::engine::pool`], and serves warm artifacts straight from the
+//! length-prefixed JSON protocol in [`proto`], runs them on `jobs`
+//! long-lived workers, and serves warm artifacts straight from the
 //! engine's content-addressed cache.
 //!
 //! The perf core is three mechanisms:
 //!
 //! * **Response memo** — a bounded LRU of successful response bodies
-//!   by flight key ([`MEMO_BUDGET`] bytes). A repeated request is one
-//!   lookup: no queue, no engine, no simulation.
+//!   by flight key ([`MEMO_BUDGET`] bytes, request texts included). A
+//!   repeated request is one lookup: no queue, no engine, no simulation.
 //! * **Single-flight coalescing** — concurrent requests with equal
-//!   [`proto::JobRequest::flight_key`]s share one builder; followers
+//!   [`proto::JobRequest::flight_text`]s share one builder; followers
 //!   block on the leader's [`FlightSlot`] and receive the identical
 //!   response bytes. A cold-key stampede runs exactly one build.
-//! * **Bounded admission** — at most `queue_depth` jobs wait for the
-//!   dispatcher; past that the daemon answers a typed `busy` error
-//!   immediately instead of queueing unboundedly.
+//! * **Bounded admission** — at most `queue_depth` jobs wait for a
+//!   worker; past that the daemon answers a typed `busy` error
+//!   immediately instead of queueing unboundedly. A worker takes the
+//!   next job as soon as it finishes its last, so a short job never
+//!   waits for a long one it did not queue behind.
 //!
 //! Everything is observable through the `metrics` op, which dumps the
 //! daemon's [`MetricsRegistry`] (serve counters, queue-depth and
@@ -50,7 +52,7 @@ pub const MEMO_BUDGET: usize = 4 << 20;
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Worker parallelism for the dispatch pool (and batch width).
+    /// Number of long-lived workers: how many jobs run at once.
     pub jobs: usize,
     /// Admission-queue depth beyond which jobs get `busy`.
     pub queue_depth: usize,
@@ -59,9 +61,9 @@ pub struct ServeConfig {
     pub read_timeout: Option<Duration>,
     /// Per-connection write timeout.
     pub write_timeout: Option<Duration>,
-    /// Test hook: when set, the dispatcher blocks before running each
-    /// batch until the gate opens. Lets tests pin jobs "in build" to
-    /// observe coalescing and backpressure deterministically.
+    /// Test hook: when set, each worker blocks before running a job
+    /// until the gate opens. Lets tests pin jobs "in build" to observe
+    /// coalescing and backpressure deterministically.
     pub gate: Option<Arc<DispatchGate>>,
 }
 
@@ -78,8 +80,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// A latch the dispatcher waits on before executing each batch —
-/// closed at construction, opened once, never re-closes.
+/// A latch every worker waits on before running a job — closed at
+/// construction, opened once, never re-closes.
 #[derive(Default)]
 pub struct DispatchGate {
     open: Mutex<bool>,
@@ -92,7 +94,7 @@ impl DispatchGate {
         Arc::new(DispatchGate::default())
     }
 
-    /// Opens the gate, releasing the dispatcher.
+    /// Opens the gate, releasing the workers.
     pub fn open(&self) {
         *self.open.lock().expect("gate poisoned") = true;
         self.cv.notify_all();
@@ -139,21 +141,27 @@ impl FlightSlot {
 }
 
 /// A bounded LRU memo of successful response bodies by flight key. A
-/// response is a pure function of its key (coalesced followers already
-/// receive the leader's exact bytes), so a hit may skip the queue.
+/// response is a pure function of its request's flight text (coalesced
+/// followers already receive the leader's exact bytes), so a hit may
+/// skip the queue. Each entry keeps its request text, and a lookup whose
+/// text differs is a miss: flight keys are FNV, not collision-resistant.
 #[derive(Default)]
 struct ResponseMemo {
-    /// Body and last-use stamp per key.
-    map: HashMap<u128, (Arc<str>, u64)>,
+    /// Request text, body and last-use stamp per key.
+    map: HashMap<u128, (Arc<str>, Arc<str>, u64)>,
     /// Keys by last-use stamp, least recently used first.
     lru: BTreeMap<u64, u128>,
     clock: u64,
+    /// Request-text plus body bytes held.
     bytes: usize,
 }
 
 impl ResponseMemo {
-    fn get(&mut self, key: u128) -> Option<Arc<str>> {
-        let (body, stamp) = self.map.get_mut(&key)?;
+    fn get(&mut self, key: u128, text: &str) -> Option<Arc<str>> {
+        let (stored, body, stamp) = self.map.get_mut(&key)?;
+        if **stored != *text {
+            return None;
+        }
         self.lru.remove(stamp);
         self.clock += 1;
         *stamp = self.clock;
@@ -161,46 +169,53 @@ impl ResponseMemo {
         Some(Arc::clone(body))
     }
 
-    /// Stores `body` under `key`, then evicts least recently used
-    /// entries until the total fits [`MEMO_BUDGET`]; returns how many
-    /// it evicted. A body larger than the whole budget is not stored.
-    fn insert(&mut self, key: u128, body: Arc<str>) -> u64 {
-        if body.len() > MEMO_BUDGET {
+    /// Stores `body` for the request `text` under `key` (replacing any
+    /// entry there), then evicts least recently used entries until the
+    /// total fits [`MEMO_BUDGET`]; returns how many it evicted. An entry
+    /// larger than the whole budget is not stored.
+    fn insert(&mut self, key: u128, text: Arc<str>, body: Arc<str>) -> u64 {
+        let size = text.len() + body.len();
+        if size > MEMO_BUDGET {
             return 0;
         }
         self.clock += 1;
-        self.bytes += body.len();
-        if let Some((old, stamp)) = self.map.insert(key, (body, self.clock)) {
-            self.bytes -= old.len();
+        self.bytes += size;
+        if let Some((old_text, old, stamp)) = self.map.insert(key, (text, body, self.clock)) {
+            self.bytes -= old_text.len() + old.len();
             self.lru.remove(&stamp);
         }
         self.lru.insert(self.clock, key);
         let mut evicted = 0;
         while self.bytes > MEMO_BUDGET {
             let (_, oldest) = self.lru.pop_first().expect("over budget means non-empty");
-            let (old, _) = self.map.remove(&oldest).expect("lru and map agree");
-            self.bytes -= old.len();
+            let (text, old, _) = self.map.remove(&oldest).expect("lru and map agree");
+            self.bytes -= text.len() + old.len();
             evicted += 1;
         }
         evicted
     }
 }
 
-/// One admitted job waiting for the dispatcher.
+/// One admitted job waiting for a worker.
 struct QueuedJob {
     req: JobRequest,
+    /// The request's flight text, memoized with the response.
+    text: Arc<str>,
     slot: Arc<FlightSlot>,
     key: u128,
 }
 
-/// State shared by the accept loop, connection handlers and dispatcher.
+/// A registered flight: its request's flight text and its slot.
+type Flight = (Arc<str>, Arc<FlightSlot>);
+
+/// State shared by the accept loop, connection handlers and workers.
 struct Shared {
     engine: Engine,
     registry: MetricsRegistry,
     memo: Mutex<ResponseMemo>,
     queue: Mutex<VecDeque<QueuedJob>>,
     queue_cv: Condvar,
-    flights: Mutex<HashMap<u128, Arc<FlightSlot>>>,
+    flights: Mutex<HashMap<u128, Flight>>,
     draining: AtomicBool,
     cfg: ServeConfig,
     local_addr: SocketAddr,
@@ -209,13 +224,13 @@ struct Shared {
 /// A running server: the bound address plus join/drain control.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
+    accept: JoinHandle<()>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
-    /// Binds `cfg.addr`, spawns the accept loop and dispatcher, and
-    /// returns immediately.
+    /// Binds `cfg.addr`, spawns the accept loop and `cfg.jobs` workers,
+    /// and returns immediately.
     ///
     /// # Errors
     ///
@@ -223,6 +238,7 @@ impl ServerHandle {
     pub fn start(engine: Engine, cfg: ServeConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
+        let jobs = cfg.jobs.max(1);
         let shared = Arc::new(Shared {
             engine,
             registry: MetricsRegistry::new(),
@@ -241,17 +257,20 @@ impl ServerHandle {
                 .spawn(move || accept_loop(&shared, &listener))
                 .expect("spawn accept loop")
         };
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("ccd-dispatch".into())
-                .spawn(move || dispatch_loop(&shared))
-                .expect("spawn dispatcher")
-        };
+        shared.registry.gauge("serve.workers").set(jobs as i64);
+        let workers = (0..jobs)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
+                    .name(format!("ccd-worker-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn worker")
+            })
+            .collect();
         Ok(ServerHandle {
             shared,
-            accept: Some(accept),
-            dispatcher: Some(dispatcher),
+            accept,
+            workers,
         })
     }
 
@@ -271,16 +290,17 @@ impl ServerHandle {
     }
 
     /// Waits for the drain to complete: the accept loop exits, the
-    /// dispatcher finishes every admitted job, and the listener closes.
-    /// Per-connection handler threads are detached and exit on their
+    /// workers finish every admitted job and exit, and the listener
+    /// closes. The `metrics` gauges are refreshed last, so
+    /// `serve.queue_len`, `serve.flights` and `serve.workers` then read
+    /// 0. Per-connection handler threads are detached and exit on their
     /// own once their client closes or times out.
-    pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+    pub fn join(self) {
+        let _ = self.accept.join();
+        for worker in self.workers {
+            let _ = worker.join();
         }
-        if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
-        }
+        self.shared.refresh_gauges();
     }
 }
 
@@ -289,8 +309,8 @@ impl Shared {
         {
             // Under the queue lock so the draining flag and the queue
             // contents change atomically with respect to admission and
-            // the dispatcher's exit check — no job can be admitted
-            // after drain starts yet never run.
+            // the workers' exit check — no job can be admitted after
+            // drain starts yet never run.
             let _q = self.queue.lock().expect("queue poisoned");
             self.draining.store(true, Ordering::SeqCst);
         }
@@ -304,6 +324,35 @@ impl Shared {
 
     fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
+    }
+
+    /// Sets the gauges that mirror state rather than count events:
+    /// engine cache counters, memo size, queue length and flights.
+    /// Gauges are set, not added, so repeated refreshes don't
+    /// double-count.
+    fn refresh_gauges(&self) {
+        let snap = self.engine.snapshot();
+        let (memo_bytes, memo_entries) = {
+            let memo = self.memo.lock().expect("memo poisoned");
+            (memo.bytes, memo.map.len())
+        };
+        let queue_len = self.queue.lock().expect("queue poisoned").len();
+        let flights = self.flights.lock().expect("flights poisoned").len();
+        for (name, v) in [
+            ("serve.engine.program_hits", snap.program_hits),
+            ("serve.engine.program_misses", snap.program_misses),
+            ("serve.engine.trace_hits", snap.trace_hits),
+            ("serve.engine.trace_misses", snap.trace_misses),
+            ("serve.engine.image_hits", snap.image_hits),
+            ("serve.engine.image_misses", snap.image_misses),
+            ("serve.engine.corrupt_entries", snap.corrupt_entries),
+            ("serve.memo_bytes", memo_bytes as u64),
+            ("serve.memo_entries", memo_entries as u64),
+            ("serve.queue_len", queue_len as u64),
+            ("serve.flights", flights as u64),
+        ] {
+            self.registry.gauge(name).set(v as i64);
+        }
     }
 }
 
@@ -330,65 +379,68 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
-fn dispatch_loop(shared: &Arc<Shared>) {
-    loop {
-        let batch: Vec<QueuedJob> = {
-            let mut q = shared.queue.lock().expect("queue poisoned");
-            loop {
-                if !q.is_empty() {
-                    let n = q.len().min(shared.cfg.jobs.max(1));
-                    break q.drain(..n).collect();
-                }
-                if shared.draining() {
-                    return;
-                }
-                q = shared.queue_cv.wait(q).expect("queue poisoned");
-            }
-        };
+/// One worker: runs queued jobs one at a time, taking the next as soon
+/// as it is free, until the daemon drains and the queue is empty.
+fn worker_loop(shared: &Shared) {
+    while let Some(job) = next_job(shared) {
         if let Some(gate) = &shared.cfg.gate {
             gate.wait();
         }
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = batch
-            .into_iter()
-            .map(|job| {
-                let shared = Arc::clone(shared);
-                Box::new(move || {
-                    shared.registry.counter("serve.jobs_executed").inc();
-                    // A panicking job must still deregister its flight
-                    // and fill its slot, or every coalesced waiter (and
-                    // the dispatcher) would hang on it.
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        shared.engine.pool_job_admission();
-                        execute_job(&shared, &job.req)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        let msg = format!("job panicked: {}", pool::panic_message(&*payload));
-                        Err(WireError::new(ErrKind::Internal, msg))
-                    })
-                    .map(Arc::<str>::from);
-                    // Memoize (never an error), then deregister the
-                    // flight, then fill the slot. Admission reads the
-                    // memo under the flights lock, so a later request
-                    // finds the flight or the memo entry, never neither.
-                    if let Ok(body) = &result {
-                        let evicted = shared
-                            .memo
-                            .lock()
-                            .expect("memo poisoned")
-                            .insert(job.key, Arc::clone(body));
-                        shared.registry.counter("serve.memo_evictions").add(evicted);
-                    }
-                    shared
-                        .flights
-                        .lock()
-                        .expect("flights poisoned")
-                        .remove(&job.key);
-                    job.slot.fill(result);
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        pool::run_tasks(shared.cfg.jobs.max(1), tasks);
+        run_job(shared, job);
     }
+    shared.registry.gauge("serve.workers").add(-1);
+}
+
+/// The oldest queued job, or `None` once draining with nothing queued.
+fn next_job(shared: &Shared) -> Option<QueuedJob> {
+    let mut q = shared.queue.lock().expect("queue poisoned");
+    loop {
+        if let Some(job) = q.pop_front() {
+            return Some(job);
+        }
+        if shared.draining() {
+            return None;
+        }
+        q = shared.queue_cv.wait(q).expect("queue poisoned");
+    }
+}
+
+fn run_job(shared: &Shared, job: QueuedJob) {
+    shared.registry.counter("serve.jobs_executed").inc();
+    // A panicking job must still deregister its flight and fill its
+    // slot, or every coalesced waiter would hang on it.
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        shared.engine.pool_job_admission();
+        execute_job(shared, &job.req)
+    }))
+    .unwrap_or_else(|payload| {
+        let msg = format!("job panicked: {}", pool::panic_message(&*payload));
+        Err(WireError::new(ErrKind::Internal, msg))
+    })
+    .map(Arc::<str>::from);
+    // Memoize (never an error), then deregister the flight, then fill
+    // the slot. Admission reads the memo under the flights lock, so a
+    // later request finds the flight or the memo entry, never neither.
+    if let Ok(body) = &result {
+        let evicted = shared.memo.lock().expect("memo poisoned").insert(
+            job.key,
+            Arc::clone(&job.text),
+            Arc::clone(body),
+        );
+        shared.registry.counter("serve.memo_evictions").add(evicted);
+    }
+    {
+        let mut flights = shared.flights.lock().expect("flights poisoned");
+        // A job whose key collided with another request's flight ran
+        // unregistered; that flight stays.
+        if flights
+            .get(&job.key)
+            .is_some_and(|(_, slot)| Arc::ptr_eq(slot, &job.slot))
+        {
+            flights.remove(&job.key);
+        }
+    }
+    job.slot.fill(result);
 }
 
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
@@ -428,7 +480,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             Ok(Request::Shutdown) => {
                 // Ack BEFORE starting the drain: once the drain begins,
                 // `tepic-ccd`'s main may exit (killing this detached
-                // handler) the moment the dispatcher runs dry, and the
+                // handler) the moment the workers run dry, and the
                 // requester must still see its acknowledgement.
                 let body = r#"{"ok":true,"op":"shutdown","draining":true}"#;
                 let sent = write_frame(&mut stream, body.as_bytes());
@@ -476,7 +528,10 @@ const LATENCY_BOUNDS: [u64; 12] = [
 /// Admission, in tier order: refuse while draining (`draining`), answer
 /// from the response memo, join an existing flight (coalesced), or
 /// claim the flight and enqueue — unless the queue is full (`busy`).
-/// Blocks until the flight's result is filled.
+/// Memo and flight hits must match the request's flight text, not only
+/// its key; a request whose key collides with another's flight runs as
+/// its own, unregistered flight. Blocks until the flight's result is
+/// filled.
 fn admit_job(shared: &Arc<Shared>, req: JobRequest) -> Result<Arc<str>, WireError> {
     if req.op != JobOp::Compile && scheme_by_name(&req.scheme).is_none() {
         let msg = format!("unknown scheme {:?}", req.scheme);
@@ -485,44 +540,53 @@ fn admit_job(shared: &Arc<Shared>, req: JobRequest) -> Result<Arc<str>, WireErro
     if shared.draining() {
         return Err(draining_error(shared));
     }
-    let key = req.flight_key();
+    let text = req.flight_text();
+    let key = proto::flight_key_of(&text);
     let slot = {
         let mut flights = shared.flights.lock().expect("flights poisoned");
-        if let Some(body) = shared.memo.lock().expect("memo poisoned").get(key) {
+        if let Some(body) = shared.memo.lock().expect("memo poisoned").get(key, &text) {
             shared.registry.counter("serve.memo_hits").inc();
             return Ok(body);
         }
         shared.registry.counter("serve.memo_misses").inc();
-        if let Some(slot) = flights.get(&key) {
-            shared.registry.counter("serve.coalesced_waits").inc();
-            Arc::clone(slot)
-        } else {
-            let mut q = shared.queue.lock().expect("queue poisoned");
-            // Checked again under the queue lock: a drain that began
-            // since the check above must not strand an enqueued job.
-            if shared.draining() {
-                return Err(draining_error(shared));
+        match flights.get(&key) {
+            Some((leader, slot)) if **leader == *text => {
+                shared.registry.counter("serve.coalesced_waits").inc();
+                Arc::clone(slot)
             }
-            if q.len() >= shared.cfg.queue_depth {
-                shared.registry.counter("serve.busy_rejections").inc();
-                return Err(WireError::new(
-                    ErrKind::Busy,
-                    format!("admission queue full ({} jobs)", q.len()),
-                ));
+            taken => {
+                let register = taken.is_none();
+                let mut q = shared.queue.lock().expect("queue poisoned");
+                // Checked again under the queue lock: a drain that began
+                // since the check above must not strand an enqueued job.
+                if shared.draining() {
+                    return Err(draining_error(shared));
+                }
+                if q.len() >= shared.cfg.queue_depth {
+                    shared.registry.counter("serve.busy_rejections").inc();
+                    return Err(WireError::new(
+                        ErrKind::Busy,
+                        format!("admission queue full ({} jobs)", q.len()),
+                    ));
+                }
+                let slot = FlightSlot::new();
+                let text: Arc<str> = text.into();
+                if register {
+                    flights.insert(key, (Arc::clone(&text), Arc::clone(&slot)));
+                }
+                q.push_back(QueuedJob {
+                    req,
+                    text,
+                    slot: Arc::clone(&slot),
+                    key,
+                });
+                shared
+                    .registry
+                    .histogram("serve.queue_depth", &QUEUE_BOUNDS)
+                    .observe(q.len() as u64);
+                shared.queue_cv.notify_one();
+                slot
             }
-            let slot = FlightSlot::new();
-            flights.insert(key, Arc::clone(&slot));
-            q.push_back(QueuedJob {
-                req,
-                slot: Arc::clone(&slot),
-                key,
-            });
-            shared
-                .registry
-                .histogram("serve.queue_depth", &QUEUE_BOUNDS)
-                .observe(q.len() as u64);
-            shared.queue_cv.notify_all();
-            slot
         }
     };
     slot.wait()
@@ -539,43 +603,20 @@ fn draining_error(shared: &Shared) -> WireError {
 /// Queue-depth histogram bounds.
 const QUEUE_BOUNDS: [u64; 9] = [0, 1, 2, 4, 8, 16, 32, 64, 128];
 
-/// The `metrics` response: engine cache counters and the memo's size
-/// refreshed into `serve.engine.*`/`serve.memo_*` gauges (gauges are
-/// set, not added, so repeated metrics requests don't double-count),
-/// then the whole registry as JSON.
-fn metrics_body(shared: &Arc<Shared>) -> String {
-    let snap = shared.engine.snapshot();
-    let (memo_bytes, memo_entries) = {
-        let memo = shared.memo.lock().expect("memo poisoned");
-        (memo.bytes as u64, memo.map.len() as u64)
-    };
-    for (name, v) in [
-        ("serve.engine.program_hits", snap.program_hits),
-        ("serve.engine.program_misses", snap.program_misses),
-        ("serve.engine.trace_hits", snap.trace_hits),
-        ("serve.engine.trace_misses", snap.trace_misses),
-        ("serve.engine.image_hits", snap.image_hits),
-        ("serve.engine.image_misses", snap.image_misses),
-        ("serve.engine.corrupt_entries", snap.corrupt_entries),
-        ("serve.memo_bytes", memo_bytes),
-        ("serve.memo_entries", memo_entries),
-    ] {
-        shared.registry.gauge(name).set(v as i64);
-    }
-    shared
-        .registry
-        .gauge("serve.queue_len")
-        .set(shared.queue.lock().expect("queue poisoned").len() as i64);
+/// The `metrics` response: the state gauges refreshed, then the whole
+/// registry as JSON.
+fn metrics_body(shared: &Shared) -> String {
+    shared.refresh_gauges();
     format!(
         r#"{{"ok":true,"op":"metrics","metrics":{}}}"#,
         shared.registry.to_json()
     )
 }
 
-/// Runs one job to completion on a pool worker and renders the
-/// response body. Deterministic for a given flight key — coalesced
-/// followers receive these exact bytes.
-fn execute_job(shared: &Arc<Shared>, req: &JobRequest) -> Result<String, WireError> {
+/// Runs one job to completion on a worker and renders the response
+/// body. Deterministic for a given flight text — coalesced followers
+/// receive these exact bytes.
+fn execute_job(shared: &Shared, req: &JobRequest) -> Result<String, WireError> {
     let opts = lego::Options::default();
     let engine = &shared.engine;
     let program = engine
@@ -654,4 +695,25 @@ fn render_sim(req: &JobRequest, result: &FetchResult, dstats: &DecodeStats) -> S
         dstats.long_fallbacks,
         dstats.reference_fallbacks,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_memo_entry_answers_only_its_own_request() {
+        // Two requests forced under one key, as an FNV collision would.
+        let a: Arc<str> = r#"{"op":"compile","name":"a"}"#.into();
+        let b: Arc<str> = r#"{"op":"compile","name":"b"}"#.into();
+        let mut memo = ResponseMemo::default();
+        memo.insert(7, Arc::clone(&a), "body-a".into());
+        assert_eq!(memo.get(7, &a).as_deref(), Some("body-a"));
+        assert_eq!(memo.get(7, &b), None, "b must not get a's body");
+        memo.insert(7, Arc::clone(&b), "body-b".into());
+        assert_eq!(memo.get(7, &a), None, "a must not get b's body");
+        assert_eq!(memo.get(7, &b).as_deref(), Some("body-b"));
+        assert_eq!(memo.map.len(), 1);
+        assert_eq!(memo.bytes, b.len() + "body-b".len(), "texts count");
+    }
 }

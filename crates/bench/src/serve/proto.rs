@@ -166,30 +166,42 @@ pub struct JobRequest {
 }
 
 impl JobRequest {
-    /// The single-flight key: two requests with equal keys are
-    /// guaranteed to produce byte-identical responses, so the second
-    /// may wait on the first's builder. Hashes exactly the fields the
-    /// response depends on — `compile` ignores scheme and seed,
-    /// `encode` ignores seed, and `simulate` hashes it because its
-    /// response echoes it.
-    pub fn flight_key(&self) -> u128 {
-        let mut h = Fnv128::new();
-        h.update_str(self.op.name());
-        h.update_str(&self.name);
-        h.update_str(&self.source);
-        match self.op {
-            JobOp::Compile => {}
-            JobOp::Encode => {
-                h.update_str(&self.scheme);
-            }
-            JobOp::Simulate | JobOp::Faultsim => {
-                h.update_str(&self.scheme);
-                h.update_u32(self.seed as u32);
-                h.update_u32((self.seed >> 32) as u32);
-            }
-        }
-        h.finish()
+    /// The canonical text of exactly the fields the response depends
+    /// on: `compile` ignores scheme and seed, `encode` ignores seed, and
+    /// `simulate`/`faultsim` keep both because their responses echo the
+    /// seed. Every free-text field is length-prefixed, so requests with
+    /// equal texts have equal fields and produce byte-identical
+    /// responses. It is built by copying, not escaping, because every
+    /// request (memo hits too) builds it.
+    pub fn flight_text(&self) -> String {
+        let (scheme, seed) = match self.op {
+            JobOp::Compile => ("", 0),
+            JobOp::Encode => (self.scheme.as_str(), 0),
+            JobOp::Simulate | JobOp::Faultsim => (self.scheme.as_str(), self.seed),
+        };
+        format!(
+            "{} seed={seed} name={}:{} scheme={}:{scheme} source={}:{}",
+            self.op.name(),
+            self.name.len(),
+            self.name,
+            scheme.len(),
+            self.source.len(),
+            self.source,
+        )
     }
+
+    /// The single-flight key: [`flight_key_of`] the
+    /// [`JobRequest::flight_text`].
+    pub fn flight_key(&self) -> u128 {
+        flight_key_of(&self.flight_text())
+    }
+}
+
+/// The 128-bit FNV hash of a flight text. FNV is not collision-resistant,
+/// so equal keys only suggest equal requests: the daemon compares the
+/// texts before it shares a flight or a memoized response.
+pub fn flight_key_of(text: &str) -> u128 {
+    Fnv128::new().update(text.as_bytes()).finish()
 }
 
 /// One parsed request frame.
@@ -499,6 +511,13 @@ mod tests {
         sim_a.op = JobOp::Faultsim;
         sim_b.op = JobOp::Faultsim;
         assert_ne!(sim_a.flight_key(), sim_b.flight_key());
+        // Length prefixes keep field boundaries: text moved from one
+        // field to the next is a different request.
+        let mut ab_c = base.clone();
+        (ab_c.name, ab_c.source) = ("ab".into(), "c".into());
+        let mut a_bc = base.clone();
+        (a_bc.name, a_bc.source) = ("a".into(), "bc".into());
+        assert_ne!(ab_c.flight_text(), a_bc.flight_text());
         // Distinct ops never share a key.
         let ops = [
             JobOp::Compile,

@@ -31,6 +31,7 @@
 //! ```
 
 mod machine;
+mod memory;
 pub mod opmix;
 mod trace;
 

@@ -1,12 +1,14 @@
 //! The emulated machine: registers, memory, MOP-at-a-time execution.
 
+use crate::memory::Memory;
 use crate::trace::{BlockTrace, TraceStats};
 use std::fmt;
 use tepic_isa::op::{FloatOpcode, IntOpcode, MemWidth, OpKind, Operation, SysCode};
 use tepic_isa::regs::Gpr;
 use tepic_isa::Program;
 
-/// Size of the emulated flat memory.
+/// Size of the emulated address space (zero-initialised; only the parts
+/// a program writes are backed).
 pub const MEM_SIZE: u32 = 8 << 20;
 /// Initial stack pointer (stack grows down).
 pub const STACK_TOP: u32 = MEM_SIZE - 64;
@@ -100,7 +102,7 @@ pub struct Emulator<'p> {
     gpr: [i32; 32],
     fpr: [f32; 32],
     pr: [bool; 32],
-    mem: Vec<u8>,
+    mem: Memory,
     output: String,
     ops_executed: u64,
 }
@@ -109,9 +111,7 @@ impl<'p> Emulator<'p> {
     /// Creates a machine with the program's data segment loaded, the stack
     /// pointer at [`STACK_TOP`] and the link register at [`RET_SENTINEL`].
     pub fn new(program: &'p Program) -> Emulator<'p> {
-        let mut mem = vec![0u8; MEM_SIZE as usize];
-        let base = program.data_base() as usize;
-        mem[base..base + program.data().len()].copy_from_slice(program.data());
+        let mem = Memory::with_data(program.data_base(), program.data());
         let mut gpr = [0i32; 32];
         gpr[Gpr::SP.index() as usize] = STACK_TOP as i32;
         gpr[Gpr::LR.index() as usize] = RET_SENTINEL as i32;
@@ -417,13 +417,7 @@ impl<'p> Emulator<'p> {
     }
 
     fn load(&self, block: u32, addr: u32, width: MemWidth) -> Result<u32, EmuError> {
-        let n = width.bytes().min(4);
-        if addr as usize + n > self.mem.len() {
-            return Err(EmuError::BadAddress { addr, block });
-        }
-        let mut buf = [0u8; 4];
-        buf[..n].copy_from_slice(&self.mem[addr as usize..addr as usize + n]);
-        Ok(u32::from_le_bytes(buf))
+        self.mem.load(block, addr, width.bytes().min(4))
     }
 
     fn store(
@@ -433,12 +427,7 @@ impl<'p> Emulator<'p> {
         width: MemWidth,
         value: u32,
     ) -> Result<(), EmuError> {
-        let n = width.bytes().min(4);
-        if addr as usize + n > self.mem.len() {
-            return Err(EmuError::BadAddress { addr, block });
-        }
-        self.mem[addr as usize..addr as usize + n].copy_from_slice(&value.to_le_bytes()[..n]);
-        Ok(())
+        self.mem.store(block, addr, width.bytes().min(4), value)
     }
 }
 

@@ -81,8 +81,8 @@ echo "==> decode throughput smoke"
 # stream scheme's interleaved throughput under CCC_DECODE_FLOOR x its
 # sequential-LUT throughput (default 2.2 smoke / 2.5 full), or its
 # aggregate decoded-output bandwidth under CCC_DECODE_AGG_FLOOR MB/s
-# (default 1000). Also refreshes results/decode_throughput.txt and
-# results/BENCH_decode.json.
+# (default 1000). Writes its decode_throughput.txt and BENCH_decode.json
+# to target/tmp (a full `cargo bench` run refreshes the results/ copies).
 CCC_DECODE_SMOKE=1 CCC_DECODE_FLOOR="${CCC_DECODE_FLOOR:-2.2}" \
     cargo bench -p ccc-bench --bench decode_throughput >/dev/null
 echo "decode floors held (LUT >= reference, interleaved >= floor x LUT, >= 1 GB/s decoded)"
@@ -132,7 +132,7 @@ echo "==> serve daemon smoke (tepic-ccd + loadgen)"
 # (--verify re-fetches every hot combo and asserts the daemon's bytes
 # are identical to the warmup responses AND to the locally recomputed
 # one-shot pipeline artifacts), enforces floors (>= 100 req/s, hot p99
-# <= 50 ms, zero errors; a 2-vCPU VM measures ~380 req/s and ~2 ms),
+# <= 50 ms, zero errors; a 2-vCPU VM measures 250-300 req/s and 1-7 ms),
 # then --shutdown drains the daemon gracefully: the
 # drain ack must arrive, post-drain jobs must be refused, and the
 # daemon process must exit 0. results/BENCH_serve.json is refreshed

@@ -2,7 +2,8 @@
 //! protocol round-trips against a live in-process server, single-flight
 //! coalescing under a cold-key stampede, bounded-admission
 //! backpressure, graceful drain, warm-path byte-identity against the
-//! one-shot pipeline, the bounded response memo, and panic isolation.
+//! one-shot pipeline, the bounded response memo, panic isolation, and
+//! work-conserving workers.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -102,6 +103,15 @@ fn enqueued(addr: SocketAddr) -> u64 {
         .and_then(|h| h.get("count"))
         .and_then(|c| c.as_f64())
         .map_or(0, |c| c as u64)
+}
+
+/// The bytes a reply's memo entry holds: the reply plus its request's
+/// flight text.
+fn memo_entry_bytes(req: &Request, reply: &[u8]) -> usize {
+    let Request::Job(j) = req else {
+        panic!("only jobs are memoized")
+    };
+    j.flight_text().len() + reply.len()
 }
 
 fn error_kind(reply: &[u8]) -> Option<String> {
@@ -407,7 +417,10 @@ fn repeated_simulates_are_answered_from_the_response_memo() {
     assert_eq!(server.registry().counter("serve.memo_hits").get(), hits + 1);
     let addr = server.local_addr();
     assert_eq!(gauge(addr, "serve.memo_entries"), Some(1.0));
-    assert_eq!(gauge(addr, "serve.memo_bytes"), Some(first.len() as f64));
+    assert_eq!(
+        gauge(addr, "serve.memo_bytes"),
+        Some(memo_entry_bytes(&req, &first) as f64)
+    );
 
     server.shutdown();
     server.join();
@@ -444,11 +457,11 @@ fn response_memo_stays_within_its_byte_budget() {
     let addr = server.local_addr();
     let source = small_source(57);
     let mut c = connect(addr);
-    // Compile replies echo the program name, so long names make large
-    // replies from cheap jobs: just over an eighth of the budget each,
-    // so the memo holds seven.
+    // Compile replies and their request texts both echo the program
+    // name, so long names make large memo entries from cheap jobs: just
+    // over an eighth of the budget each, so the memo holds seven.
     let req = |i: usize| {
-        let name = format!("{i}-{}", "n".repeat(MEMO_BUDGET / 8));
+        let name = format!("{i}-{}", "n".repeat(MEMO_BUDGET / 16));
         job(JobOp::Compile, &name, &source, "full", 0)
     };
     let counter = |name: &str| server.registry().counter(name).get();
@@ -456,14 +469,14 @@ fn response_memo_stays_within_its_byte_budget() {
     for i in 0..7 {
         let reply = roundtrip(&mut c, &req(i));
         assert!(String::from_utf8_lossy(&reply[..16]).contains("\"ok\":true"));
-        total += reply.len();
+        total += memo_entry_bytes(&req(i), &reply);
     }
     assert_eq!(counter("serve.memo_evictions"), 0, "seven fit");
     // A hit on 0 makes 1 the least recently used, so 7 evicts 1.
     roundtrip(&mut c, &req(0));
     assert_eq!(counter("serve.memo_hits"), 1);
-    total += roundtrip(&mut c, &req(7)).len();
-    assert!(total > MEMO_BUDGET, "the replies overflow the budget");
+    total += memo_entry_bytes(&req(7), &roundtrip(&mut c, &req(7)));
+    assert!(total > MEMO_BUDGET, "the entries overflow the budget");
     assert_eq!(counter("serve.memo_evictions"), 1);
     let bytes = gauge(addr, "serve.memo_bytes").expect("memo_bytes gauge");
     assert!(
@@ -483,6 +496,93 @@ fn response_memo_stays_within_its_byte_budget() {
 
     server.shutdown();
     server.join();
+}
+
+#[test]
+fn a_short_cold_job_never_waits_behind_a_long_one() {
+    let server = start_uncached(ServeConfig {
+        jobs: 2,
+        ..ServeConfig::default()
+    });
+    let addr = server.local_addr();
+    let go = tepic_ccc::workloads::by_name("go").expect("paper program");
+    let long = job(JobOp::Simulate, "go", go.source(), "full", 0);
+    let short = job(JobOp::Compile, "tiny", "fn main() { print(1); }", "full", 0);
+
+    let (long_reply, short_reply, long_done, short_done) = std::thread::scope(|scope| {
+        let long_client = scope.spawn(|| {
+            let reply = roundtrip(&mut connect(addr), &long);
+            (reply, Instant::now())
+        });
+        poll_until("the long job to start", || {
+            server.registry().counter("serve.jobs_executed").get() == 1
+        });
+        // The second worker is free, so the short job starts at once
+        // instead of waiting for the whole cold simulate.
+        let short_reply = roundtrip(&mut connect(addr), &short);
+        let short_done = Instant::now();
+        let (long_reply, long_done) = long_client.join().unwrap();
+        (long_reply, short_reply, long_done, short_done)
+    });
+    assert_eq!(error_kind(&long_reply), None);
+    assert_eq!(error_kind(&short_reply), None);
+    assert!(
+        short_done < long_done,
+        "the compile reply must arrive before the simulate reply"
+    );
+    assert_eq!(server.registry().counter("serve.jobs_executed").get(), 2);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn drain_leaves_no_flight_queued_job_or_worker_behind() {
+    let gate = DispatchGate::closed();
+    let server = start_uncached(ServeConfig {
+        jobs: 2,
+        gate: Some(Arc::clone(&gate)),
+        ..ServeConfig::default()
+    });
+    let addr = server.local_addr();
+    // Gauge handles outlive the handle's `join`, which refreshes them.
+    let flights = server.registry().gauge("serve.flights");
+    let queue_len = server.registry().gauge("serve.queue_len");
+    let workers = server.registry().gauge("serve.workers");
+    assert_eq!(workers.get(), 2);
+    let sources: Vec<String> = (0..4).map(|i| small_source(70 + i)).collect();
+
+    let replies: Vec<(usize, Vec<u8>)> = std::thread::scope(|scope| {
+        // Two clients per program: four flights, four coalesced waiters.
+        let clients: Vec<_> = (0..8)
+            .map(|i| {
+                let req = job(
+                    JobOp::Encode,
+                    &format!("drain-{}", i % 4),
+                    &sources[i % 4],
+                    "byte",
+                    0,
+                );
+                scope.spawn(move || (i % 4, roundtrip(&mut connect(addr), &req)))
+            })
+            .collect();
+        poll_until("every request to be admitted", || {
+            enqueued(addr) == 4 && server.registry().counter("serve.coalesced_waits").get() == 4
+        });
+        assert_eq!(gauge(addr, "serve.flights"), Some(4.0));
+        // The drain opens the gate: both workers run and then exit.
+        server.shutdown();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    for (program, reply) in &replies {
+        assert_eq!(error_kind(reply), None, "admitted jobs finish in a drain");
+        let twin = replies.iter().find(|(p, r)| p == program && r != reply);
+        assert!(twin.is_none(), "coalesced replies are identical");
+    }
+    server.join();
+    assert_eq!(flights.get(), 0, "every flight deregistered");
+    assert_eq!(queue_len.get(), 0, "the queue is empty");
+    assert_eq!(workers.get(), 0, "every worker exited");
 }
 
 #[test]
