@@ -418,12 +418,6 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// The default on-disk cache location (under the build tree, so
-/// `cargo clean` clears it).
-pub fn default_cache_dir() -> PathBuf {
-    PathBuf::from("target/ccc-artifacts")
-}
-
 /// The prepared-workload engine: a worker pool plus an optional
 /// content-addressed artifact cache. Shared by reference across worker
 /// threads; all counters are atomic.
@@ -586,53 +580,6 @@ impl Engine {
     /// The attached span sink, if any.
     pub fn trace_sink(&self) -> Option<&SharedSink> {
         self.sink.as_ref()
-    }
-
-    /// An engine configured from the environment: `CCC_JOBS` (default:
-    /// all cores), `CCC_NO_CACHE=1` to disable caching, `CCC_CACHE_DIR`
-    /// to relocate it (default `target/ccc-artifacts`). If the cache
-    /// directory cannot be created, the engine runs uncached and says so
-    /// on stderr. `CCC_FAILPOINTS` (a `site:prob:mode,...` spec, seeded
-    /// by `CCC_FAILPOINT_SEED`, default 0) arms fault injection; a
-    /// malformed spec is reported on stderr and ignored.
-    pub fn from_env() -> Engine {
-        let jobs = std::env::var("CCC_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(default_jobs);
-        let eng = if std::env::var("CCC_NO_CACHE").is_ok_and(|v| v == "1") {
-            Engine::uncached(jobs)
-        } else {
-            let dir = std::env::var("CCC_CACHE_DIR")
-                .map(PathBuf::from)
-                .unwrap_or_else(|_| default_cache_dir());
-            match Engine::with_cache_dir(jobs, &dir) {
-                Ok(e) => e,
-                Err(err) => {
-                    eprintln!(
-                        "warning: artifact cache unavailable at {}: {err}",
-                        dir.display()
-                    );
-                    Engine::uncached(jobs)
-                }
-            }
-        };
-        match std::env::var("CCC_FAILPOINTS") {
-            Ok(spec) if !spec.trim().is_empty() => {
-                let seed = std::env::var("CCC_FAILPOINT_SEED")
-                    .ok()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .unwrap_or(0);
-                match Failpoints::from_spec(&spec, seed) {
-                    Ok(fp) => eng.with_failpoints(Arc::new(fp)),
-                    Err(err) => {
-                        eprintln!("warning: CCC_FAILPOINTS ignored: {err}");
-                        eng
-                    }
-                }
-            }
-            _ => eng,
-        }
     }
 
     /// The configured worker count.

@@ -24,6 +24,11 @@
 //! name (see [`direction_of`]); names with an unknown suffix are not
 //! judged. Groups with fewer than `min_samples` baseline records pass
 //! with an [`SentinelStatus::InsufficientHistory`] note.
+//!
+//! The rest of `tepic-cc perf` is here too, as pure functions over the
+//! loaded records: [`serve_floors`] (the absolute `serve/*` throughput
+//! backstop), [`degrade_latest`] (the `--inject-slowdown` fixture) and
+//! [`group_counts`] (the bare `perf` inventory). The CLI only prints.
 
 use crate::engine::Engine;
 use ccc_telemetry::ledger::{self, Fingerprint, LedgerRecord};
@@ -174,6 +179,27 @@ pub fn mad(vals: &[f64]) -> f64 {
     crate::median(&dev)
 }
 
+/// The sentinel's group of a record: `fingerprint-key :: subcommand`.
+pub fn group_key(rec: &LedgerRecord) -> String {
+    format!("{} :: {}", rec.fingerprint.key(), rec.subcommand)
+}
+
+/// The latest record of every group, keyed and ordered by [`group_key`].
+fn latest_per_group<'a>(
+    records: impl IntoIterator<Item = &'a LedgerRecord>,
+) -> BTreeMap<String, &'a LedgerRecord> {
+    records.into_iter().map(|r| (group_key(r), r)).collect()
+}
+
+/// Record count per group: the bare `tepic-cc perf` inventory.
+pub fn group_counts(records: &[LedgerRecord]) -> BTreeMap<String, usize> {
+    let mut groups = BTreeMap::new();
+    for rec in records {
+        *groups.entry(group_key(rec)).or_default() += 1;
+    }
+    groups
+}
+
 /// Judges the latest record of every (fingerprint, subcommand) group
 /// against that group's earlier records, per sample. Records must be in
 /// file (chronological) order, as [`ccc_telemetry::ledger::load`]
@@ -181,8 +207,7 @@ pub fn mad(vals: &[f64]) -> f64 {
 pub fn check(records: &[LedgerRecord], cfg: &SentinelConfig) -> Vec<SampleVerdict> {
     let mut groups: BTreeMap<String, Vec<&LedgerRecord>> = BTreeMap::new();
     for rec in records {
-        let key = format!("{} :: {}", rec.fingerprint.key(), rec.subcommand);
-        groups.entry(key).or_default().push(rec);
+        groups.entry(group_key(rec)).or_default().push(rec);
     }
     let mut out = Vec::new();
     for (group, members) in groups {
@@ -258,6 +283,79 @@ pub fn derived_floor(
     }
     let best = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     Some(best / (1.0 + cfg.band))
+}
+
+/// One `serve/*` group's latest throughput against its floor.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FloorVerdict {
+    /// `fingerprint-key :: subcommand`.
+    pub group: String,
+    /// The latest record's `throughput_per_s`.
+    pub rps: f64,
+    /// `max(floor_rps, derived_floor)`.
+    pub floor: f64,
+}
+
+impl FloorVerdict {
+    /// Whether the throughput cleared its floor.
+    pub fn passed(&self) -> bool {
+        self.rps >= self.floor
+    }
+}
+
+/// The absolute throughput backstop for `serve/*` groups, layered under
+/// the relative sentinel (which needs history): the latest record of
+/// every serve group that carries `throughput_per_s` must clear
+/// `max(floor_rps, derived_floor)`.
+pub fn serve_floors(
+    records: &[LedgerRecord],
+    cfg: &SentinelConfig,
+    floor_rps: f64,
+) -> Vec<FloorVerdict> {
+    let serve = records
+        .iter()
+        .filter(|r| r.subcommand.starts_with("serve/"));
+    latest_per_group(serve)
+        .into_iter()
+        .filter_map(|(group, rec)| {
+            let rps = *rec.samples.get("throughput_per_s")?;
+            let derived = derived_floor(
+                records,
+                &rec.fingerprint,
+                &rec.subcommand,
+                "throughput_per_s",
+                cfg,
+            )
+            .unwrap_or(0.0);
+            Some(FloorVerdict {
+                group,
+                rps,
+                floor: floor_rps.max(derived),
+            })
+        })
+        .collect()
+}
+
+/// A copy of every group's latest record degraded by `factor`: wall
+/// time and lower-is-better samples multiplied, higher-is-better ones
+/// divided. Appended to a ledger, it is the fixture that proves the
+/// sentinel fires (`tepic-cc perf --inject-slowdown`).
+pub fn degrade_latest(records: &[LedgerRecord], factor: f64) -> Vec<LedgerRecord> {
+    latest_per_group(records)
+        .into_values()
+        .map(|latest| {
+            let mut rec = latest.clone();
+            rec.wall_ns = (rec.wall_ns as f64 * factor) as u64;
+            for (name, v) in rec.samples.iter_mut() {
+                match direction_of(name) {
+                    Some(Direction::LowerIsBetter) => *v *= factor,
+                    Some(Direction::HigherIsBetter) => *v /= factor,
+                    None => {}
+                }
+            }
+            rec
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -474,6 +572,79 @@ mod tests {
         ];
         let floor = derived_floor(&records, &fp, "d", "x_mb_s", &cfg).unwrap();
         assert!((floor - 2000.0).abs() < 1e-9, "{floor}");
+    }
+
+    #[test]
+    fn a_degraded_copy_of_the_latest_run_is_flagged() {
+        let mut records = vec![
+            rec(
+                "bench/fig05",
+                &[("wall_ns", 100.0), ("decoded_mb_s", 900.0)],
+            ),
+            rec(
+                "bench/fig05",
+                &[("wall_ns", 104.0), ("decoded_mb_s", 880.0)],
+            ),
+            rec("gen/tiny", &[("wall_ns", 50.0)]),
+            rec("gen/tiny", &[("wall_ns", 52.0)]),
+        ];
+        let cfg = SentinelConfig::default();
+        assert!(check(&records, &cfg)
+            .iter()
+            .all(|v| v.status == SentinelStatus::Pass));
+        let degraded = degrade_latest(&records, 2.0);
+        assert_eq!(degraded.len(), 2, "one copy per group");
+        let slow = degraded
+            .iter()
+            .find(|r| r.subcommand == "bench/fig05")
+            .unwrap();
+        assert_eq!(slow.samples["wall_ns"], 208.0);
+        assert_eq!(slow.samples["decoded_mb_s"], 440.0);
+        records.extend(degraded);
+        let verdicts = check(&records, &cfg);
+        assert_eq!(verdicts.len(), 3);
+        for v in &verdicts {
+            assert!(
+                matches!(v.status, SentinelStatus::Regression { worse_by } if worse_by >= 1.9),
+                "{v:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn serve_floor_judges_the_latest_run_of_each_serve_group() {
+        let records = vec![
+            rec("serve/loadgen", &[("throughput_per_s", 300.0)]),
+            rec("serve/loadgen", &[("throughput_per_s", 90.0)]),
+            rec("bench/fig05", &[("throughput_per_s", 1.0)]),
+            rec("serve/other", &[("hot_p99_ns", 5.0)]),
+        ];
+        let cfg = SentinelConfig::default();
+        // History derives 300 / 1.5 = 200 req/s, above the given floor.
+        let v = serve_floors(&records, &cfg, 10.0);
+        assert_eq!(
+            v.len(),
+            1,
+            "non-serve groups and groups without throughput are skipped"
+        );
+        assert_eq!((v[0].rps, v[0].floor), (90.0, 200.0));
+        assert!(!v[0].passed());
+        // Without history the given floor decides, on either side of it.
+        let latest = &records[1..2];
+        assert!(serve_floors(latest, &cfg, 50.0)[0].passed());
+        let v = serve_floors(latest, &cfg, 100.0);
+        assert_eq!(v[0].floor, 100.0);
+        assert!(!v[0].passed());
+    }
+
+    #[test]
+    fn groups_are_counted_per_fingerprint_and_subcommand() {
+        let records = vec![rec("a", &[]), rec("b", &[]), rec("a", &[])];
+        let counts = group_counts(&records);
+        let key = group_key(&records[0]);
+        assert!(key.ends_with(" :: a"), "{key}");
+        assert_eq!(counts[&key], 2);
+        assert_eq!(counts.len(), 2);
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! (transient I/O error), `corrupt` (data damage), `panic` (poisoned
 //! job), `flaky` (transient stage failure) or `error` (generic decode
 //! failure). The CLI exposes this as `tepic-cc chaos --sites <spec>`;
-//! the engine also honours the `CCC_FAILPOINTS` / `CCC_FAILPOINT_SEED`
-//! environment variables (see `Engine::from_env`). Every fired injection
+//! every engine the CLI and daemon build also honours the
+//! `CCC_FAILPOINTS` / `CCC_FAILPOINT_SEED` environment variables (see
+//! `tepic_ccc::cli`). Every fired injection
 //! is appended to an in-registry log so a chaos run can reconcile
 //! *injected* faults against *recovered* ones — recovery must account
 //! for every fault, one for one. See DESIGN.md §13.

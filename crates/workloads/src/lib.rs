@@ -197,38 +197,6 @@ pub fn known_names() -> String {
     ALL.iter().map(|w| w.name).collect::<Vec<_>>().join(", ")
 }
 
-/// A `--workload` flag naming no known benchmark.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownWorkload {
-    /// The name that missed.
-    pub name: String,
-}
-
-impl fmt::Display for UnknownWorkload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown workload {}; known: {}",
-            self.name,
-            known_names()
-        )
-    }
-}
-
-impl std::error::Error for UnknownWorkload {}
-
-/// [`by_name`], but the failure path carries the list of known names
-/// (for CLI `--workload` flags and other user-facing lookups).
-///
-/// # Errors
-///
-/// [`UnknownWorkload`] naming the miss and every known benchmark.
-pub fn by_name_or_err(name: &str) -> Result<&'static Workload, UnknownWorkload> {
-    by_name(name).ok_or_else(|| UnknownWorkload {
-        name: name.to_string(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,16 +286,6 @@ mod tests {
             assert_eq!(by_name(w.name).map(|x| x.name), Some(w.name));
         }
         assert!(by_name("xalancbmk").is_none());
-    }
-
-    #[test]
-    fn by_name_or_err_reports_known_names() {
-        assert_eq!(by_name_or_err("li").unwrap().name, "li");
-        let msg = by_name_or_err("xalancbmk").unwrap_err().to_string();
-        assert!(msg.contains("xalancbmk"), "names the miss: {msg}");
-        for w in &ALL {
-            assert!(msg.contains(w.name), "lists {}: {msg}", w.name);
-        }
     }
 
     #[test]

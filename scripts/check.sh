@@ -3,12 +3,21 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+REPO="$(pwd)"
+
+# The smokes below must leave the committed results/ as they found it;
+# the last step compares. Outside a git checkout there is nothing to
+# compare against.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    CCC_RESULTS_BEFORE="$(git status --porcelain -- results/)"
+fi
 
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+# Every member crate's tests, not only the root package's.
+cargo test -q --workspace
 
 echo "==> benchmark harness build + tests"
 # perfbench/ is a workspace of its own, so the two steps above never
@@ -115,9 +124,12 @@ if ./target/release/tepic-cc perf --check \
     exit 1
 fi
 echo "injected 2x slowdown caught (non-zero exit)"
-CCC_NO_LEDGER=1 ./target/release/tepic-cc perf --attr >/dev/null
-[ -s "results/PERF_attr.txt" ] || {
-    echo "missing results/PERF_attr.txt" >&2
+# --attr writes results/PERF_attr.txt relative to its working
+# directory; run it from the scratch directory so the committed copy
+# stays as it is.
+(cd "$CCC_PERF_DIR" && CCC_NO_LEDGER=1 "$REPO/target/release/tepic-cc" perf --attr >/dev/null)
+[ -s "$CCC_PERF_DIR/results/PERF_attr.txt" ] || {
+    echo "missing $CCC_PERF_DIR/results/PERF_attr.txt" >&2
     exit 1
 }
 rm -rf "$CCC_PERF_DIR"
@@ -135,8 +147,9 @@ echo "==> serve daemon smoke (tepic-ccd + loadgen)"
 # <= 50 ms, zero errors; a 2-vCPU VM measures 250-300 req/s and 1-7 ms),
 # then --shutdown drains the daemon gracefully: the
 # drain ack must arrive, post-drain jobs must be refused, and the
-# daemon process must exit 0. results/BENCH_serve.json is refreshed
-# (uploaded by CI).
+# daemon process must exit 0. The results land in
+# target/tmp/BENCH_serve.json (uploaded by CI), not over the committed
+# results/BENCH_serve.json.
 if [ "${CCC_SERVE_SMOKE:-1}" = "1" ]; then
 CCC_SERVE_DIR="${TMPDIR:-/tmp}/ccc-serve-smoke-$$"
 mkdir -p "$CCC_SERVE_DIR"
@@ -155,13 +168,14 @@ while [ ! -s "$CCC_SERVE_DIR/port" ]; do
 done
 CCC_LEDGER="$CCC_SERVE_DIR/ledger.jsonl" ./target/release/tepic-cc loadgen \
     --addr "$(cat "$CCC_SERVE_DIR/port")" --requests 200 --conns 4 --seed 42 \
-    --verify --shutdown --min-rps 100 --max-hot-p99-ns 50000000
+    --verify --shutdown --min-rps 100 --max-hot-p99-ns 50000000 \
+    --out target/tmp/BENCH_serve.json
 wait "$CCC_SERVE_PID" || {
     echo "tepic-ccd exited non-zero after drain" >&2
     exit 1
 }
-[ -s "results/BENCH_serve.json" ] || {
-    echo "missing results/BENCH_serve.json" >&2
+[ -s "target/tmp/BENCH_serve.json" ] || {
+    echo "missing target/tmp/BENCH_serve.json" >&2
     exit 1
 }
 rm -rf "$CCC_SERVE_DIR"
@@ -175,5 +189,17 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> committed results/ unchanged"
+if [ "${CCC_RESULTS_BEFORE+set}" = "set" ]; then
+    if [ "$(git status --porcelain -- results/)" != "$CCC_RESULTS_BEFORE" ]; then
+        echo "the smokes changed committed files under results/:" >&2
+        git status --porcelain -- results/ >&2
+        exit 1
+    fi
+    echo "results/ as it was at the start"
+else
+    echo "skipped (not a git checkout)"
+fi
 
 echo "All checks passed."

@@ -1,114 +1,8 @@
-//! `tepic-ccd` — the compression-as-a-service daemon (DESIGN.md §17).
-//!
-//! A persistent std-only TCP server over the length-prefixed JSON
-//! protocol: `compile`/`encode`/`simulate`/`faultsim` jobs from many
-//! concurrent clients are coalesced per flight key, admitted through a
-//! bounded queue (explicit `busy` past the depth threshold), sharded
-//! across the worker pool, and served straight from the engine's
-//! content-addressed artifact cache when warm. `metrics` dumps the
-//! daemon's registry; `shutdown` drains gracefully (admitted jobs
-//! finish, new connections are refused, the process exits 0).
-//!
-//! ```text
-//! tepic-ccd [--addr <host:port>] [--jobs <N>] [--queue-depth <N>]
-//!           [--cache-dir <dir>] [--no-cache] [--timeout-ms <N>]
-//!           [--port-file <file>]
-//! ```
-//!
-//! `--addr` defaults to `127.0.0.1:0` (ephemeral port; the bound
-//! address is printed on stdout and, with `--port-file`, written
-//! atomically to a file scripts can poll). The artifact cache defaults
-//! to `target/ccc-artifacts`, shared with the one-shot CLI — a daemon
-//! started after a `tepic-cc bench` run serves those artifacts warm.
+//! `tepic-ccd`, the serving daemon: see `tepic_ccc::cli` (its `serve` module).
 
 use std::process::ExitCode;
-use tepic_ccc::bench::engine::cache::write_atomic;
-use tepic_ccc::bench::engine::{default_cache_dir, default_jobs, Engine};
-use tepic_ccc::bench::serve::{ServeConfig, ServerHandle};
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: tepic-ccd [--addr <host:port>] [--jobs <N>] [--queue-depth <N>] \
-         [--cache-dir <dir>] [--no-cache] [--timeout-ms <N>] [--port-file <file>]"
-    );
-    ExitCode::from(2)
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = ServeConfig::default();
-    let mut jobs = default_jobs();
-    let mut cache_dir = default_cache_dir();
-    let mut no_cache = false;
-    let mut port_file: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => cfg.addr = v.clone(),
-                None => return usage(),
-            },
-            "--jobs" => match it.next().map(|v| v.parse()) {
-                Some(Ok(n)) if n > 0 => jobs = n,
-                _ => return usage(),
-            },
-            "--queue-depth" => match it.next().map(|v| v.parse()) {
-                Some(Ok(n)) if n > 0 => cfg.queue_depth = n,
-                _ => return usage(),
-            },
-            "--cache-dir" => match it.next() {
-                Some(v) => cache_dir = v.into(),
-                None => return usage(),
-            },
-            "--no-cache" => no_cache = true,
-            "--timeout-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n > 0 => {
-                    let t = Some(std::time::Duration::from_millis(n));
-                    cfg.read_timeout = t;
-                    cfg.write_timeout = t;
-                }
-                _ => return usage(),
-            },
-            "--port-file" => match it.next() {
-                Some(v) => port_file = Some(v.clone()),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    cfg.jobs = jobs;
-
-    let engine = if no_cache {
-        Engine::uncached(jobs)
-    } else {
-        match Engine::with_cache_dir(jobs, &cache_dir) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("tepic-ccd: cannot open cache {}: {e}", cache_dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-
-    let handle = match ServerHandle::start(engine, cfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("tepic-ccd: bind failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let addr = handle.local_addr();
-    println!("tepic-ccd: listening on {addr} ({jobs} jobs)");
-    if let Some(pf) = &port_file {
-        if let Err(e) = write_atomic(pf, addr.to_string().as_bytes()) {
-            eprintln!("tepic-ccd: cannot write {pf}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    // Blocks until a shutdown request drains the daemon.
-    handle.join();
-    println!("tepic-ccd: drained; exiting");
-    ExitCode::SUCCESS
+    tepic_ccc::cli::tepic_ccd(&args, &|key| std::env::var(key).ok())
 }

@@ -25,7 +25,9 @@
 //!   injection (DESIGN.md §12);
 //! * [`workgen`] — the seeded synthetic Tink workload generator with
 //!   op-mix calibration against the real corpus and scalable corpus
-//!   tiers (DESIGN.md §14).
+//!   tiers (DESIGN.md §14);
+//! * [`cli`] — the `tepic-cc` subcommands and the `tepic-ccd` daemon's
+//!   setup, with their one flag parser and engine builder.
 //!
 //! # Quickstart
 //!
@@ -55,6 +57,8 @@ pub use tinker_huffman as huffman;
 pub use tinker_ir as ir;
 pub use tinker_workloads as workloads;
 pub use yula;
+
+pub mod cli;
 
 /// Convenient top-level imports for examples and downstream users.
 pub mod prelude {
