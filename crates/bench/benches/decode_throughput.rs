@@ -1,10 +1,9 @@
 //! Decode-kernel throughput: the word-at-a-time [`BitReader`] +
 //! two-level-LUT [`LutDecoder`] fast path against the bit-serial
-//! [`CanonicalDecoder`] reference, the throughput tier of DESIGN.md
-//! §15 — the [`InterleavedDecoder`] round-robining many table-pinned
-//! stream cursors — and whole images decoded one block at a time
-//! through [`BlockCodec::decode_block_counted`] (the `batch` panel),
-//! over each Huffman scheme's real tables and symbol streams.
+//! [`CanonicalDecoder`] reference, and whole images decoded one block
+//! at a time through [`BlockCodec::decode_block_counted`] (the `batch`
+//! panel, the fetch path's decode-on-miss step; DESIGN.md §15), over
+//! each Huffman scheme's real tables and symbol streams.
 //!
 //! Workloads: the `go` benchmark plus a seeded `ccc-workgen` tiny-tier
 //! corpus (`CCC_DECODE_SEED`, default 42), so throughput numbers are
@@ -14,7 +13,7 @@
 //! Panels time with `bench_best` (best sample, not mean): host
 //! interference only adds time, so the minimum estimates the kernel's
 //! own cost and keeps the regression gate stable on busy machines. The
-//! gated ratio's two sides, `lut` and `interleaved`, take alternate
+//! gated ratio's two sides, `reference` and `lut`, take alternate
 //! samples (`bench_best_pair`), so both minimums see the same host
 //! phases.
 //!
@@ -24,16 +23,10 @@
 //! when a regression floor fails:
 //!
 //! * the LUT path slower than the reference on the byte scheme;
-//! * the stream scheme's interleaved *compressed* throughput below
-//!   `CCC_DECODE_FLOOR` × its sequential-LUT throughput. Issue 8 aims
-//!   for 4×; the multi-symbol kernel measures 2.9–3.1× on the
-//!   reference machine (a 2.1 GHz Xeon VM), so the default floor is
-//!   set one noise notch under that — 2.5 full runs, 2.2 smoke — to
-//!   gate regressions rather than aspiration;
-//! * the stream scheme's aggregate *decoded-output* bandwidth (the
-//!   4-byte symbols the interleaved kernel stores, summed over all
-//!   lanes) below `CCC_DECODE_AGG_FLOOR` MB/s (default 1000 — the
-//!   Issue-8 "≥ 1 GB/s aggregate" headline; measured ≈ 2.4 GB/s).
+//! * a scheme's `batch` throughput, after one re-measure, below its
+//!   ledger-derived floor: the best earlier `<scheme>_batch_mb_s` of
+//!   the same fingerprint and run kind divided by `1 + BATCH_BAND`
+//!   (DESIGN.md §15–16). With no history there is no floor.
 //!
 //! Set `CCC_DECODE_SMOKE=1` for a short smoke measurement. A smoke run
 //! writes both files under Cargo's `target/tmp` instead, so it leaves
@@ -45,14 +38,13 @@ use ccc_core::schemes::stream::StreamConfig;
 use ccc_core::schemes::{byte::ByteScheme, full::FullScheme, pair::PairScheme};
 use ccc_core::schemes::{stream::StreamScheme, BlockCodec, Scheme};
 use ccc_telemetry::ledger::{self, Fingerprint};
-use criterion::Criterion;
+use criterion::{BenchmarkGroup, Criterion};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Duration;
 use tepic_isa::Program;
 use tinker_huffman::{
-    BitReader, BitWriter, CanonicalDecoder, CodeBook, DecodeCounters, Dictionary,
-    InterleavedDecoder, LutDecoder, StreamLane, PIPE,
+    BitReader, BitWriter, CanonicalDecoder, CodeBook, DecodeCounters, Dictionary, LutDecoder,
 };
 
 /// One scheme's decode workload over one program: its Huffman tables,
@@ -109,102 +101,18 @@ impl DecodeWorkload {
     }
 }
 
+/// Band of the `batch` floors: the floor is the best earlier
+/// `<scheme>_batch_mb_s` divided by `1 + BATCH_BAND`. Wider than the
+/// sentinel's default 0.5 because the batch panel is bimodal on shared
+/// hosts: on a 2-vCPU VM, 13 of 14 smoke runs of one build read
+/// 14.0–27.7 MB/s on stream and 28.6–58.0 MB/s on stream_1 (host load
+/// slowed the 14th throughout), so a floor of best / 1.5 failed runs of
+/// code that had not changed. A path that fell back to the bit-serial
+/// reference decode (3–4x slower on byte) still falls under it.
+const BATCH_BAND: f64 = 1.5;
+
 fn checksum(syms: &[u32]) -> u64 {
     syms.iter().fold(0u64, |a, &s| a.wrapping_add(s as u64))
-}
-
-/// The interleaved panel's unit: each per-table symbol subsequence of a
-/// [`DecodeWorkload`] re-encoded into contiguous per-lane bitstreams —
-/// the compiler-side layout the throughput tier assumes (one cursor
-/// per stream) — split into chunks so every scheme presents about
-/// [`TARGET_LANES`] concurrent cursors.
-struct LaneSet {
-    inter: InterleavedDecoder,
-    lanes: Vec<LaneBuf>,
-}
-
-struct LaneBuf {
-    bytes: Vec<u8>,
-    syms: Vec<u32>,
-    table: u32,
-}
-
-const TARGET_LANES: usize = 16;
-
-fn build_lanes(w: &DecodeWorkload) -> LaneSet {
-    let nt = w.books.len();
-    // Keep the lane count a multiple of the kernel's pipeline width so
-    // no lane is left to a partial (single-cursor) group.
-    let mut chunks = (TARGET_LANES / nt).max(1);
-    while !(nt * chunks).is_multiple_of(PIPE) {
-        chunks += 1;
-    }
-    let mut lanes = Vec::new();
-    for t in 0..nt {
-        let tsyms: Vec<u32> = w
-            .order
-            .iter()
-            .zip(&w.syms)
-            .filter(|&(&o, _)| o == t as u32)
-            .map(|(_, &s)| s)
-            .collect();
-        if tsyms.is_empty() {
-            continue;
-        }
-        let per = tsyms.len().div_ceil(chunks).max(1);
-        for chunk in tsyms.chunks(per) {
-            let mut bw = BitWriter::new();
-            for &s in chunk {
-                w.books[t].try_encode_into(s, &mut bw).unwrap();
-            }
-            lanes.push(LaneBuf {
-                bytes: bw.into_bytes(),
-                syms: chunk.to_vec(),
-                table: t as u32,
-            });
-        }
-    }
-    LaneSet {
-        inter: InterleavedDecoder::new(w.books.iter().map(CodeBook::lut_decoder).collect()),
-        lanes,
-    }
-}
-
-impl LaneSet {
-    fn specs(&self) -> Vec<StreamLane<'_>> {
-        self.lanes
-            .iter()
-            .map(|l| StreamLane {
-                bytes: &l.bytes,
-                start_bit: 0,
-                symbols: l.syms.len(),
-                table: l.table,
-            })
-            .collect()
-    }
-
-    fn decode(&self) -> u64 {
-        let mut counts = DecodeCounters::default();
-        let results = self.inter.decode_streams(&self.specs(), &mut counts);
-        results
-            .iter()
-            .flat_map(|r| r.syms.iter())
-            .fold(0u64, |a, &s| a.wrapping_add(s as u64))
-    }
-
-    fn bytes(&self) -> usize {
-        self.lanes.iter().map(|l| l.bytes.len()).sum()
-    }
-
-    /// Differential check: every lane must reproduce its source chunk.
-    fn verify(&self) {
-        let mut counts = DecodeCounters::default();
-        let results = self.inter.decode_streams(&self.specs(), &mut counts);
-        for (lane, res) in self.lanes.iter().zip(&results) {
-            assert!(res.err.is_none(), "interleaved lane errored: {:?}", res.err);
-            assert_eq!(res.syms, lane.syms, "interleaved lane diverged");
-        }
-    }
 }
 
 /// The batch panel's unit: a program compressed by the real
@@ -346,11 +254,10 @@ fn scheme_for(name: &'static str) -> Box<dyn Scheme> {
 }
 
 /// One scheme measured across every workload program: the kernel
-/// workloads plus the interleaved lane sets and real-image batch loads.
+/// workloads plus the real-image batch loads.
 struct SchemeRow {
     scheme: &'static str,
     loads: Vec<DecodeWorkload>,
-    lanes: Vec<LaneSet>,
     batches: Vec<BatchLoad>,
 }
 
@@ -364,7 +271,6 @@ fn build_row(scheme: &'static str, programs: &[(String, Program)]) -> SchemeRow 
             other => stream_workload(p, other),
         })
         .collect();
-    let lanes = loads.iter().map(build_lanes).collect();
     let sch = scheme_for(scheme);
     let batches = programs
         .iter()
@@ -377,7 +283,6 @@ fn build_row(scheme: &'static str, programs: &[(String, Program)]) -> SchemeRow 
     SchemeRow {
         scheme,
         loads,
-        lanes,
         batches,
     }
 }
@@ -388,9 +293,6 @@ struct Measurement {
     compressed_bytes: usize,
     ref_ns: f64,
     lut_ns: f64,
-    num_lanes: usize,
-    lane_bytes: usize,
-    inter_ns: f64,
     batch_blocks: usize,
     batch_ops: usize,
     batch_bytes: usize,
@@ -406,22 +308,6 @@ impl Measurement {
     }
     fn mb_per_s(&self, ns: f64) -> f64 {
         self.compressed_bytes as f64 / (ns * 1e-9) / 1e6
-    }
-    fn inter_mb_per_s(&self) -> f64 {
-        self.lane_bytes as f64 / (self.inter_ns * 1e-9) / 1e6
-    }
-    fn inter_sym_per_s(&self) -> f64 {
-        self.symbols as f64 / (self.inter_ns * 1e-9)
-    }
-    /// Aggregate decoded-output bandwidth: the 4-byte symbols the
-    /// interleaved kernel stores, summed across all lanes.
-    fn inter_decoded_mb_per_s(&self) -> f64 {
-        (self.symbols * 4) as f64 / (self.inter_ns * 1e-9) / 1e6
-    }
-    /// The Issue-8 headline: interleaved over sequential-LUT compressed
-    /// throughput (both sides normalized by their own byte totals).
-    fn inter_over_lut(&self) -> f64 {
-        self.inter_mb_per_s() / self.mb_per_s(self.lut_ns).max(1e-9)
     }
     fn batch_mb_per_s(&self) -> f64 {
         self.batch_bytes as f64 / (self.batch_ns * 1e-9) / 1e6
@@ -448,21 +334,18 @@ fn measure(c: &mut Criterion, row: &SchemeRow) -> Measurement {
             row.scheme
         );
     }
-    for set in &row.lanes {
-        set.verify();
-    }
     let mut g = c.benchmark_group(row.scheme);
-    let ref_ns = g.bench_best("reference", |b| {
-        b.iter(|| {
-            let mut a = 0u64;
-            for (i, w) in row.loads.iter().enumerate() {
-                a = a.wrapping_add(black_box(w.decode_reference(&refs[i])));
-            }
-            a
-        })
-    });
-    let (lut_ns, inter_ns) = g.bench_best_pair(
-        ["lut", "interleaved"],
+    let (ref_ns, lut_ns) = g.bench_best_pair(
+        ["reference", "lut"],
+        |b| {
+            b.iter(|| {
+                let mut a = 0u64;
+                for (i, w) in row.loads.iter().enumerate() {
+                    a = a.wrapping_add(black_box(w.decode_reference(&refs[i])));
+                }
+                a
+            })
+        },
         |b| {
             b.iter(|| {
                 let mut a = 0u64;
@@ -472,25 +355,8 @@ fn measure(c: &mut Criterion, row: &SchemeRow) -> Measurement {
                 a
             })
         },
-        |b| {
-            b.iter(|| {
-                let mut a = 0u64;
-                for set in &row.lanes {
-                    a = a.wrapping_add(black_box(set.decode()));
-                }
-                a
-            })
-        },
     );
-    let batch_ns = g.bench_best("batch", |b| {
-        b.iter(|| {
-            let mut a = 0u64;
-            for load in &row.batches {
-                a = a.wrapping_add(black_box(load.decode()));
-            }
-            a
-        })
-    });
+    let batch_ns = time_batch(&mut g, row);
     g.finish();
     Measurement {
         scheme: row.scheme,
@@ -498,9 +364,6 @@ fn measure(c: &mut Criterion, row: &SchemeRow) -> Measurement {
         compressed_bytes: row.loads.iter().map(|w| w.bytes.len()).sum(),
         ref_ns,
         lut_ns,
-        num_lanes: row.lanes.iter().map(|s| s.lanes.len()).sum(),
-        lane_bytes: row.lanes.iter().map(LaneSet::bytes).sum(),
-        inter_ns,
         batch_blocks: row.batches.iter().map(|b| b.ops.len()).sum(),
         batch_ops: row
             .batches
@@ -510,6 +373,20 @@ fn measure(c: &mut Criterion, row: &SchemeRow) -> Measurement {
         batch_bytes: row.batches.iter().map(|b| b.image.bytes.len()).sum(),
         batch_ns,
     }
+}
+
+/// Best time of one pass of the `batch` panel: every image of `row`
+/// decoded whole, one block at a time.
+fn time_batch(g: &mut BenchmarkGroup<'_>, row: &SchemeRow) -> f64 {
+    g.bench_best("batch", |b| {
+        b.iter(|| {
+            let mut a = 0u64;
+            for load in &row.batches {
+                a = a.wrapping_add(black_box(load.decode()));
+            }
+            a
+        })
+    })
 }
 
 /// One `--lut-bits` sweep point: sequential LUT throughput per scheme
@@ -563,55 +440,40 @@ fn render_table(rows: &[Measurement], names: &[String]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Decode kernel throughput — workloads [{}], reference vs LUT vs interleaved vs batch",
+        "Decode kernel throughput — workloads [{}], reference vs LUT vs batch",
         names.join(", ")
     );
     let _ = writeln!(
         out,
-        "{:<10} {:>9} {:>10} {:>12} {:>12} {:>12} {:>6} {:>12} {:>8} {:>12} {:>8}",
-        "scheme",
-        "symbols",
-        "bytes",
-        "ref MB/s",
-        "lut MB/s",
-        "speedup",
-        "lanes",
-        "inter MB/s",
-        "x lut",
-        "dec MB/s",
-        "batch MB/s"
+        "{:<10} {:>9} {:>10} {:>12} {:>12} {:>12} {:>8} {:>12}",
+        "scheme", "symbols", "bytes", "ref MB/s", "lut MB/s", "speedup", "blocks", "batch MB/s"
     );
     for m in rows {
         let _ = writeln!(
             out,
-            "{:<10} {:>9} {:>10} {:>12.1} {:>12.1} {:>11.2}x {:>6} {:>12.1} {:>7.2}x {:>12.0} {:>12.1}",
+            "{:<10} {:>9} {:>10} {:>12.1} {:>12.1} {:>11.2}x {:>8} {:>12.1}",
             m.scheme,
             m.symbols,
             m.compressed_bytes,
             m.mb_per_s(m.ref_ns),
             m.mb_per_s(m.lut_ns),
             m.speedup(),
-            m.num_lanes,
-            m.inter_mb_per_s(),
-            m.inter_over_lut(),
-            m.inter_decoded_mb_per_s(),
+            m.batch_blocks,
             m.batch_mb_per_s()
         );
     }
     out
 }
 
-#[allow(clippy::too_many_arguments)]
+/// `batch_floors[i]` is the ledger-derived floor of `rows[i]`'s batch
+/// panel, `None` without history.
 fn render_json(
     rows: &[Measurement],
+    batch_floors: &[Option<f64>],
     sweep: &[SweepPoint],
     names: &[String],
     seed: u64,
     smoke: bool,
-    floor: f64,
-    stream_ratio: f64,
-    agg_floor: f64,
-    stream_decoded: f64,
 ) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": \"decode_throughput\",");
@@ -627,13 +489,9 @@ fn render_json(
         "  \"lut_bits_default\": {},",
         tinker_huffman::lut::DEFAULT_LUT_BITS
     );
-    let _ = writeln!(
-        out,
-        "  \"floor\": {{ \"stream_interleaved_over_lut\": {floor}, \"measured\": {stream_ratio:.3}, \
-         \"aggregate_decoded_mb_per_sec\": {agg_floor}, \"measured_decoded\": {stream_decoded:.1} }},"
-    );
+    let _ = writeln!(out, "  \"floor\": {{ \"byte_lut_over_reference\": 1.0 }},");
     let _ = writeln!(out, "  \"schemes\": [");
-    for (i, m) in rows.iter().enumerate() {
+    for (i, (m, floor)) in rows.iter().zip(batch_floors).enumerate() {
         let _ = writeln!(out, "    {{");
         let _ = writeln!(out, "      \"scheme\": \"{}\",", m.scheme);
         let _ = writeln!(out, "      \"symbols\": {},", m.symbols);
@@ -645,29 +503,14 @@ fn render_json(
             let _ = writeln!(out, "        \"mb_per_sec\": {:.3}", m.mb_per_s(ns));
             let _ = writeln!(out, "      }},");
         }
-        let _ = writeln!(out, "      \"interleaved\": {{");
-        let _ = writeln!(out, "        \"lanes\": {},", m.num_lanes);
-        let _ = writeln!(out, "        \"lane_bytes\": {},", m.lane_bytes);
-        let _ = writeln!(out, "        \"ns_per_pass\": {:.1},", m.inter_ns);
-        let _ = writeln!(
-            out,
-            "        \"symbols_per_sec\": {:.0},",
-            m.inter_sym_per_s()
-        );
-        let _ = writeln!(out, "        \"mb_per_sec\": {:.3},", m.inter_mb_per_s());
-        let _ = writeln!(
-            out,
-            "        \"decoded_mb_per_sec\": {:.3},",
-            m.inter_decoded_mb_per_s()
-        );
-        let _ = writeln!(out, "        \"speedup_vs_lut\": {:.3}", m.inter_over_lut());
-        let _ = writeln!(out, "      }},");
+        let floor = floor.map_or("null".to_string(), |f| format!("{f:.3}"));
         let _ = writeln!(out, "      \"batch\": {{");
         let _ = writeln!(out, "        \"blocks\": {},", m.batch_blocks);
         let _ = writeln!(out, "        \"ops\": {},", m.batch_ops);
         let _ = writeln!(out, "        \"image_bytes\": {},", m.batch_bytes);
         let _ = writeln!(out, "        \"ns_per_pass\": {:.1},", m.batch_ns);
-        let _ = writeln!(out, "        \"mb_per_sec\": {:.3}", m.batch_mb_per_s());
+        let _ = writeln!(out, "        \"mb_per_sec\": {:.3},", m.batch_mb_per_s());
+        let _ = writeln!(out, "        \"floor_mb_per_sec\": {floor}");
         let _ = writeln!(out, "      }},");
         let _ = writeln!(out, "      \"speedup\": {:.3}", m.speedup());
         let _ = writeln!(out, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
@@ -757,7 +600,7 @@ fn main() {
         .iter()
         .map(|s| build_row(s, &programs))
         .collect();
-    let measured: Vec<Measurement> = rows.iter().map(|r| measure(&mut c, r)).collect();
+    let mut measured: Vec<Measurement> = rows.iter().map(|r| measure(&mut c, r)).collect();
 
     // The lut-bits sweep gets a shorter budget: it is a shape scan, not
     // a headline number.
@@ -772,35 +615,20 @@ fn main() {
     };
     let sweep = sweep_lut_bits(&mut sweep_c, &rows, &lut_bits_arg());
 
-    // Regression floors. CCC_DECODE_FLOOR overrides the stream scheme's
-    // interleaved/lut compressed-throughput ratio floor; the defaults
-    // sit one noise notch under the 2.9-3.1x the multi-symbol kernel
-    // measures here (see the module doc). CCC_DECODE_AGG_FLOOR gates
-    // the aggregate decoded-output bandwidth in MB/s (Issue 8's
-    // ">= 1 GB/s aggregate"; measured ~2.4 GB/s).
-    let env_floor = std::env::var("CCC_DECODE_FLOOR")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(if smoke { 2.2 } else { 2.5 });
-    let env_agg_floor = std::env::var("CCC_DECODE_AGG_FLOOR")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1000.0);
-
     // Ledger-derived floors (DESIGN.md §16): the best same-fingerprint
-    // historical value for each gated sample, derated by the sentinel
-    // band. The env/default constants above stay as the absolute
-    // backstop — the effective floor is the max of both, so history can
-    // only *raise* the bar, never lower it.
-    // Smoke and full measurements have different sample budgets, so
-    // they keep separate ledger groups.
+    // historical value of each scheme's batch throughput, derated by
+    // BATCH_BAND. Smoke and full measurements have different sample
+    // budgets, so they keep separate ledger groups.
     let bench_name = if smoke {
         "decode_throughput/smoke"
     } else {
         "decode_throughput/full"
     };
     let fp = Fingerprint::current("", tinker_huffman::lut::DEFAULT_LUT_BITS as u64);
-    let cfg = SentinelConfig::default();
+    let cfg = SentinelConfig {
+        band: BATCH_BAND,
+        ..SentinelConfig::default()
+    };
     // `cargo bench` runs with the package dir as cwd, so a relative
     // ledger path is re-anchored at the workspace root — the same file
     // the CLI writes.
@@ -816,18 +644,22 @@ fn main() {
         .and_then(|p| ledger::load(p).ok())
         .map(|o| o.records)
         .unwrap_or_default();
-    let derived =
-        |sample: &str| history::derived_floor(&hist, &fp, bench_name, sample, &cfg).unwrap_or(0.0);
-    let floor = env_floor.max(derived("stream_inter_over_lut_ratio"));
-    let agg_floor = env_agg_floor.max(derived("stream_decoded_mb_s"));
-    if floor > env_floor || agg_floor > env_agg_floor {
-        println!(
-            "ledger-derived floors active: ratio {floor:.2}x (backstop {env_floor:.2}x), \
-             aggregate {agg_floor:.0} MB/s (backstop {env_agg_floor:.0} MB/s)"
-        );
+    let batch_floors: Vec<Option<f64>> = measured
+        .iter()
+        .map(|m| {
+            let sample = format!("{}_batch_mb_s", m.scheme);
+            history::derived_floor(&hist, &fp, bench_name, &sample, &cfg)
+        })
+        .collect();
+    // Host load only ever slows a pass down, and its phases can outlast
+    // one panel: a scheme under its floor gets a second, later batch
+    // measurement and keeps the faster of the two.
+    for ((m, row), floor) in measured.iter_mut().zip(&rows).zip(&batch_floors) {
+        if floor.is_some_and(|f| m.batch_mb_per_s() < f) {
+            let mut g = c.benchmark_group(&format!("{} (below floor, again)", row.scheme));
+            m.batch_ns = m.batch_ns.min(time_batch(&mut g, row));
+        }
     }
-    let stream = measured.iter().find(|m| m.scheme == "stream").unwrap();
-    let stream_ratio = stream.inter_over_lut();
 
     let table = render_table(&measured, &names);
     print!("\n{table}");
@@ -839,18 +671,7 @@ fn main() {
     write_atomic(format!("{results}/decode_throughput.txt"), table.as_bytes()).unwrap();
     write_atomic(
         format!("{results}/BENCH_decode.json"),
-        render_json(
-            &measured,
-            &sweep,
-            &names,
-            seed,
-            smoke,
-            floor,
-            stream_ratio,
-            agg_floor,
-            stream.inter_decoded_mb_per_s(),
-        )
-        .as_bytes(),
+        render_json(&measured, &batch_floors, &sweep, &names, seed, smoke).as_bytes(),
     )
     .unwrap();
     println!("wrote {results}/decode_throughput.txt and {results}/BENCH_decode.json");
@@ -865,27 +686,19 @@ fn main() {
         );
         std::process::exit(1);
     }
-    // Gate 2: the throughput tier must hold its floor on the stream
-    // scheme (the many-cursor case it exists for).
-    if stream_ratio < floor {
-        eprintln!(
-            "REGRESSION: stream interleaved decode at {:.2}x LUT throughput, floor {floor:.2}x \
-             ({:.1} vs {:.1} MB/s)",
-            stream_ratio,
-            stream.inter_mb_per_s(),
-            stream.mb_per_s(stream.lut_ns)
-        );
-        std::process::exit(1);
-    }
-    // Gate 3: the Issue-8 headline — aggregate decoded-output
-    // bandwidth across all stream cursors.
-    if stream.inter_decoded_mb_per_s() < agg_floor {
-        eprintln!(
-            "REGRESSION: stream interleaved decoded-output bandwidth {:.0} MB/s, \
-             floor {agg_floor:.0} MB/s",
-            stream.inter_decoded_mb_per_s()
-        );
-        std::process::exit(1);
+    // Gate 2: whole-image per-block decode, the path every fetch miss
+    // takes, must hold each scheme's ledger-derived floor.
+    for (m, floor) in measured.iter().zip(&batch_floors) {
+        if let Some(floor) = *floor {
+            if m.batch_mb_per_s() < floor {
+                eprintln!(
+                    "REGRESSION: {} batch decode at {:.1} MB/s, ledger-derived floor {floor:.1} MB/s",
+                    m.scheme,
+                    m.batch_mb_per_s()
+                );
+                std::process::exit(1);
+            }
+        }
     }
 
     // All gates held: append this run to the ledger so `perf --check`
@@ -897,19 +710,13 @@ fn main() {
         tinker_huffman::lut::DEFAULT_LUT_BITS as u64,
         t0.elapsed().as_nanos() as u64,
     );
-    rec.samples
-        .insert("stream_inter_mb_s".to_string(), stream.inter_mb_per_s());
-    rec.samples
-        .insert("stream_inter_over_lut_ratio".to_string(), stream_ratio);
-    rec.samples.insert(
-        "stream_decoded_mb_s".to_string(),
-        stream.inter_decoded_mb_per_s(),
-    );
     for m in &measured {
         rec.samples
             .insert(format!("{}_lut_mb_s", m.scheme), m.mb_per_s(m.lut_ns));
         rec.samples
             .insert(format!("{}_speedup_ratio", m.scheme), m.speedup());
+        rec.samples
+            .insert(format!("{}_batch_mb_s", m.scheme), m.batch_mb_per_s());
     }
     if let Some(path) = &ledger_file {
         if let Err(e) = ledger::append(path, &rec) {

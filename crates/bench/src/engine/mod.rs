@@ -279,11 +279,6 @@ pub struct RecoverySnapshot {
 }
 
 impl RecoverySnapshot {
-    /// Total faults the engine observed and survived.
-    pub fn total_faults(&self) -> u64 {
-        self.cache_read_faults + self.cache_write_faults + self.job_panics + self.stage_faults
-    }
-
     /// Whether any recovery machinery engaged at all.
     pub fn is_clean(&self) -> bool {
         *self == RecoverySnapshot::default()

@@ -33,20 +33,6 @@ pub struct SchedFunction {
     pub blocks: Vec<Vec<Vec<MInst>>>,
 }
 
-impl SchedFunction {
-    /// Static operations per cycle across the whole function (a crude ILP
-    /// figure reported by the harness).
-    pub fn static_ilp(&self) -> f64 {
-        let ops: usize = self.blocks.iter().flatten().map(Vec::len).sum();
-        let cycles: usize = self.blocks.iter().map(Vec::len).sum();
-        if cycles == 0 {
-            0.0
-        } else {
-            ops as f64 / cycles as f64
-        }
-    }
-}
-
 /// Result latency used for RAW edges.
 fn latency(inst: &MInst) -> u32 {
     match inst {

@@ -13,7 +13,7 @@ pub mod stream;
 pub mod tailored;
 
 use crate::encoded::EncodedProgram;
-use crate::integrity::{crc32, IntegrityError};
+use crate::integrity::IntegrityError;
 use std::fmt;
 use tepic_isa::Program;
 use tinker_huffman::{BitReader, DecodeCounters, DecodeError, LutDecoder};
@@ -131,13 +131,6 @@ impl SchemeOutput {
             }
         }
         true
-    }
-
-    /// CRC32 of the codec's serialized decode tables — recorded at
-    /// compression time, re-checked by the fetch path before trusting
-    /// the dictionary.
-    pub fn dictionary_crc(&self) -> u32 {
-        crc32(&self.codec.dictionary_image())
     }
 }
 

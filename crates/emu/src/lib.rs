@@ -38,12 +38,3 @@ mod trace;
 pub use machine::{EmuError, Emulator, Limits, RunResult, MEM_SIZE, RET_SENTINEL, STACK_TOP};
 pub use opmix::{OpCategory, OpMix};
 pub use trace::{BlockTrace, TraceStats, TRACE_WIRE_VERSION};
-
-/// Compiles-and-runs convenience used everywhere in tests and benches.
-///
-/// # Errors
-///
-/// Propagates [`EmuError`].
-pub fn run_program(program: &tepic_isa::Program, limits: &Limits) -> Result<RunResult, EmuError> {
-    Emulator::new(program).run(limits)
-}

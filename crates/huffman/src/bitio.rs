@@ -139,27 +139,6 @@ impl<'a> BitReader<'a> {
         refill_parts(self.bytes, self.pos, &mut self.acc, &mut self.acc_bits);
     }
 
-    /// Decomposes the reader into `(bytes, pos, acc, acc_bits)` so a
-    /// hot kernel can hold the cursor in locals (the returned slice
-    /// carries the reader's own `'a`, not a borrow of `self`). Pair
-    /// with [`BitReader::set_raw_parts`] to commit the advanced cursor
-    /// back; the kernel must preserve the accumulator invariants
-    /// (top `acc_bits` bits of `acc` are the stream bits at `pos`,
-    /// lower bits zero).
-    #[inline]
-    pub(crate) fn raw_parts(&self) -> (&'a [u8], u64, u64, u32) {
-        (self.bytes, self.pos, self.acc, self.acc_bits)
-    }
-
-    /// Commits a cursor advanced outside the reader; see
-    /// [`BitReader::raw_parts`].
-    #[inline]
-    pub(crate) fn set_raw_parts(&mut self, pos: u64, acc: u64, acc_bits: u32) {
-        self.pos = pos;
-        self.acc = acc;
-        self.acc_bits = acc_bits;
-    }
-
     /// Number of valid lookahead bits currently buffered. After
     /// [`BitReader::refill`] this is `min(57.., remaining())` — if it is
     /// below 57, the stream has no further bits.
@@ -245,12 +224,9 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// The refill body on raw cursor parts, shared between
-/// [`BitReader::refill`] and the register-resident kernels of
-/// [`crate::interleave`] — one implementation, so the lookahead the
-/// hot loops see is bit-exactly the reader's own.
+/// The body of [`BitReader::refill`] on the reader's raw cursor parts.
 #[inline(always)]
-pub(crate) fn refill_parts(bytes: &[u8], pos: u64, acc: &mut u64, acc_bits: &mut u32) {
+fn refill_parts(bytes: &[u8], pos: u64, acc: &mut u64, acc_bits: &mut u32) {
     if *acc_bits > 56 {
         return;
     }

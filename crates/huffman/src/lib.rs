@@ -47,7 +47,7 @@ pub use code::{CodeBook, HuffmanError};
 pub use complexity::{decoder_transistors, DecoderComplexity};
 pub use decode::{CanonicalDecoder, DecodeCounters, DecodeError};
 pub use dict::Dictionary;
-pub use interleave::{InterleavedDecoder, LaneResult, StreamLane, BURST, PIPE};
+pub use interleave::InterleavedDecoder;
 pub use lut::LutDecoder;
 
 /// Shannon entropy of a frequency distribution, in bits per symbol.

@@ -46,12 +46,10 @@ pub(crate) enum Entry {
 }
 
 impl Entry {
-    /// The interleaved kernel's packed form: `(sym << 8) | len` for a
-    /// code fully resolved by this entry, else 0 — "not a packed hit,
-    /// replay the symbol through [`LutDecoder::decode_counted`]". The
-    /// error and `Long` classes (and the never-seen-in-practice case of
-    /// a symbol too wide for 24 bits) all take the replay path, which
-    /// reproduces their exact behaviour.
+    /// The packed form the [`crate::interleave`] table builder stores:
+    /// `(sym << 8) | len` for a code fully resolved by this entry, else
+    /// 0 (the error and `Long` classes, and a symbol too wide for 24
+    /// bits).
     pub(crate) fn packed(self) -> u32 {
         match self {
             Entry::Sym { sym, len } if sym < (1 << 24) => (sym << 8) | len as u32,
@@ -293,8 +291,8 @@ impl LutDecoder {
         self.lut_bits
     }
 
-    /// The raw first-level table (for the interleaved kernel's packed
-    /// mirror).
+    /// The raw first-level table, which the [`crate::interleave`] table
+    /// builder re-packs.
     pub(crate) fn entries(&self) -> &[Entry] {
         &self.table
     }

@@ -53,11 +53,6 @@ impl Function {
         BlockRef(0)
     }
 
-    /// Total virtual registers.
-    pub fn num_vregs(&self) -> usize {
-        self.vreg_classes.len()
-    }
-
     /// Class of `v`.
     ///
     /// # Panics

@@ -320,11 +320,6 @@ impl Program {
         self.blocks.iter().map(|b| b.num_mops).sum()
     }
 
-    /// The function owning block `b`.
-    pub fn func_of_block(&self, b: BlockId) -> &FuncInfo {
-        &self.funcs[self.blocks[b].func]
-    }
-
     /// Full disassembly listing.
     pub fn listing(&self) -> String {
         crate::disasm::listing(self)

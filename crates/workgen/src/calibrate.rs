@@ -122,9 +122,8 @@ pub struct SchemeSites {
     pub sites: u64,
 }
 
-/// One scheme's fault-campaign outcome tallies (mirrors
-/// `ccc_core::fault::Tally`, carried as plain integers so this crate
-/// stays independent of `ccc-core`).
+/// One scheme's fault-campaign outcome tallies: the scheme name plus
+/// the fields of `ccc_core::fault::Tally`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignRow {
     /// Scheme name.

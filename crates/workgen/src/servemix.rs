@@ -8,16 +8,13 @@
 //! discipline as corpus generation, so a mix is exactly reproducible
 //! from `(seed, count, params)`.
 //!
-//! Scheme and op weights are fixed here rather than taken from the
-//! serving layer (`ccc-workgen` sits below `ccc-bench` in the crate
-//! DAG and cannot name its types).
+//! Requests draw their scheme uniformly from
+//! [`ccc_core::schemes::MATRIX`]. Op weights are fixed here rather than
+//! taken from the serving layer (`ccc-workgen` sits below `ccc-bench`
+//! in the crate DAG and cannot name its types).
 
 use crate::{generate_program, splitmix64, Flavor, GenParams};
-
-/// Scheme names a generated request may carry: a copy of
-/// `ccc_core::schemes::MATRIX` (this crate does not depend on ccc-core),
-/// pinned to it by `tests/workgen.rs`.
-pub const MIX_SCHEMES: [&str; 5] = ["byte", "stream", "stream_1", "full", "tailored"];
+use ccc_core::schemes::MATRIX;
 
 /// Request operations, with their draw weights (encode-heavy, the
 /// daemon's cheapest cacheable op, plus a real simulate share).
@@ -37,7 +34,7 @@ pub struct ServeRequest {
     pub source: String,
     /// Operation name (`compile`/`encode`/`simulate`/`faultsim`).
     pub op: &'static str,
-    /// Scheme name from [`MIX_SCHEMES`].
+    /// Scheme name from [`MATRIX`].
     pub scheme: &'static str,
     /// Fault seed (only `faultsim` consumes it).
     pub seed: u64,
@@ -85,7 +82,7 @@ pub fn request_mix(seed: u64, count: usize, params: &MixParams) -> Vec<ServeRequ
             let name = format!("srv-hot-{}-{seed}-{i:04}", params.flavor.name());
             let p = generate_program(pseed, &gen_params, &name);
             let op = weighted_op(splitmix64(&mut state));
-            let scheme = MIX_SCHEMES[(splitmix64(&mut state) % MIX_SCHEMES.len() as u64) as usize];
+            let scheme = MATRIX[(splitmix64(&mut state) % MATRIX.len() as u64) as usize];
             ServeRequest {
                 name: p.name,
                 source: p.source,
@@ -110,8 +107,7 @@ pub fn request_mix(seed: u64, count: usize, params: &MixParams) -> Vec<ServeRequ
                 cold_index += 1;
                 let p = generate_program(pseed, &gen_params, &name);
                 let op = weighted_op(splitmix64(&mut state));
-                let scheme =
-                    MIX_SCHEMES[(splitmix64(&mut state) % MIX_SCHEMES.len() as u64) as usize];
+                let scheme = MATRIX[(splitmix64(&mut state) % MATRIX.len() as u64) as usize];
                 ServeRequest {
                     name: p.name,
                     source: p.source,
@@ -178,7 +174,7 @@ mod tests {
         // Every op and scheme comes from the declared sets.
         for r in &a {
             assert!(["compile", "encode", "simulate", "faultsim"].contains(&r.op));
-            assert!(MIX_SCHEMES.contains(&r.scheme));
+            assert!(MATRIX.contains(&r.scheme));
         }
         // A 400-request draw exercises more than one op and scheme.
         assert!(a.iter().map(|r| r.op).collect::<HashSet<_>>().len() > 1);

@@ -747,152 +747,127 @@ proptest! {
     }
 }
 
-// ---- The interleaved throughput tier and whole-image decode (DESIGN.md §15) ----
+// ---- Whole-block and whole-image decode (DESIGN.md §15) ----
 
-use tepic_ccc::huffman::{DecodeCounters, InterleavedDecoder, LaneResult, LutDecoder, StreamLane};
+use tepic_ccc::huffman::{DecodeCounters, DecodeError, LutDecoder};
 
-/// Sequential reference for the interleaved decoder: one symbol at a
-/// time through each lane's `LutDecoder` (itself differentially pinned
-/// to the bit-serial canonical decoder above). The interleaved kernels
-/// must be observationally identical — same symbols, same error variant
-/// at the same bit position, same counter totals.
-fn decode_lanes_sequential(
-    tables: &[LutDecoder],
-    lanes: &[StreamLane<'_>],
-    counts: &mut DecodeCounters,
-) -> Vec<LaneResult> {
-    lanes
-        .iter()
-        .map(|lane| {
-            let mut r = BitReader::at_bit(lane.bytes, lane.start_bit);
-            let mut syms = Vec::new();
-            let mut err = None;
-            for _ in 0..lane.symbols {
-                match tables[lane.table as usize].decode_counted(&mut r, counts) {
-                    Ok(s) => syms.push(s),
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
-            LaneResult {
-                syms,
-                err,
-                end_bit: r.bit_pos(),
-            }
+/// Decodes `n` symbols from `start` three ways and asserts they agree:
+/// the whole-block `decode_n_counted` that every single-table codec
+/// decodes a block with, a per-symbol `decode_counted` loop, and the
+/// bit-serial `CanonicalDecoder::decode_n`. Same symbols or the same
+/// error variant at the same bit, the same final cursor, and (for the
+/// two counted paths) the same `DecodeCounters` totals. `lut_bits`
+/// below the book's longest code sends codewords to the `Long`
+/// fallback. Returns the whole-block result.
+fn assert_decode_n_agrees(
+    book: &CodeBook,
+    lut_bits: u32,
+    bytes: &[u8],
+    start: u64,
+    n: usize,
+) -> Result<Vec<u32>, DecodeError> {
+    let lut = LutDecoder::with_lut_bits(book, lut_bits);
+    let mut block_counts = DecodeCounters::default();
+    let mut block_r = BitReader::at_bit(bytes, start);
+    let block = lut.decode_n_counted(&mut block_r, n, &mut block_counts);
+
+    let mut seq_counts = DecodeCounters::default();
+    let mut seq_r = BitReader::at_bit(bytes, start);
+    let seq = (0..n)
+        .map(|_| lut.decode_counted(&mut seq_r, &mut seq_counts))
+        .collect::<Result<Vec<u32>, DecodeError>>();
+    assert_eq!(block, seq, "whole-block decode diverged from per-symbol");
+    assert_eq!(block_r.bit_pos(), seq_r.bit_pos(), "cursor drift");
+    assert_eq!(block_counts, seq_counts, "counter totals diverge");
+
+    let mut ref_r = BitReader::at_bit(bytes, start);
+    let reference = book.decoder().decode_n(&mut ref_r, n);
+    assert_eq!(
+        block, reference,
+        "whole-block decode diverged from reference"
+    );
+    assert_eq!(
+        block_r.bit_pos(),
+        ref_r.bit_pos(),
+        "cursor drift vs reference"
+    );
+    block
+}
+
+/// `n` symbols drawn from `book`'s alphabet by an LCG seeded with
+/// `seed`, and their encoding.
+fn encode_lcg(book: &CodeBook, alphabet: usize, seed: u64, n: usize) -> (Vec<u32>, Vec<u8>) {
+    let mut x = seed | 1;
+    let mut w = BitWriter::new();
+    let msg: Vec<u32> = (0..n)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let s = ((x >> 33) % alphabet as u64) as u32;
+            book.encode_into(s, &mut w);
+            s
         })
-        .collect()
+        .collect();
+    (msg, w.into_bytes())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Many pinned lanes over arbitrary codebooks decode exactly the
-    /// messages they encode, identically to the sequential reference.
+    /// Valid streams decode back to their message, identically on all
+    /// three paths.
     #[test]
-    fn interleaved_matches_sequential_on_valid_streams(
-        books_raw in prop::collection::vec(prop::collection::vec(1u64..500, 2..24), 1..4),
-        lanes_raw in prop::collection::vec((any::<u64>(), 0usize..200), 1..12),
+    fn decode_n_matches_per_symbol_decode_on_valid_streams(
+        freqs in prop::collection::vec(1u64..500, 2..24),
+        lut_bits in 1u32..12,
+        seed in any::<u64>(),
+        n in 0usize..200,
     ) {
-        let books: Vec<CodeBook> =
-            books_raw.iter().map(|f| CodeBook::from_freqs(f).unwrap()).collect();
-        let tables: Vec<LutDecoder> = books.iter().map(CodeBook::lut_decoder).collect();
-        let dec = InterleavedDecoder::new(tables.clone());
-        let mut store: Vec<(Vec<u8>, Vec<u32>, u32)> = Vec::new();
-        for &(seed, n) in &lanes_raw {
-            let bi = (seed % books.len() as u64) as usize;
-            let alpha = books_raw[bi].len() as u64;
-            let mut x = seed | 1;
-            let mut msg = Vec::with_capacity(n);
-            let mut w = BitWriter::new();
-            for _ in 0..n {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let s = ((x >> 33) % alpha) as u32;
-                msg.push(s);
-                books[bi].encode_into(s, &mut w);
-            }
-            store.push((w.into_bytes(), msg, bi as u32));
-        }
-        let lanes: Vec<StreamLane<'_>> = store
-            .iter()
-            .map(|(b, m, t)| StreamLane {
-                bytes: b,
-                start_bit: 0,
-                symbols: m.len(),
-                table: *t,
-            })
-            .collect();
-        let mut ic = DecodeCounters::default();
-        let got = dec.decode_streams(&lanes, &mut ic);
-        for (r, (_, m, _)) in got.iter().zip(&store) {
-            prop_assert!(r.err.is_none(), "valid lane errored: {:?}", r.err);
-            prop_assert_eq!(&r.syms, m);
-        }
-        let mut sc = DecodeCounters::default();
-        let want = decode_lanes_sequential(&tables, &lanes, &mut sc);
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(ic, sc, "counter totals diverge");
+        let book = CodeBook::from_freqs(&freqs).unwrap();
+        let (msg, bytes) = encode_lcg(&book, freqs.len(), seed, n);
+        let got = assert_decode_n_agrees(&book, lut_bits, &bytes, 0, n);
+        prop_assert_eq!(got, Ok(msg));
     }
 
     /// Garbage bytes, arbitrary start offsets and over-asked symbol
-    /// counts: the interleaved decoder reports the same per-lane error
-    /// at the same bit position as the reference.
+    /// counts: the same error variant at the same bit on all three
+    /// paths, and the same counter totals up to it.
     #[test]
-    fn interleaved_matches_sequential_on_garbage(
+    fn decode_n_matches_per_symbol_decode_on_garbage(
         freqs in prop::collection::vec(1u64..500, 2..24),
+        lut_bits in 1u32..12,
         bytes in prop::collection::vec(any::<u8>(), 0..64),
         start in 0u64..8,
         ask in 0usize..300,
     ) {
         let book = CodeBook::from_freqs(&freqs).unwrap();
-        let tables = [book.lut_decoder()];
-        let dec = InterleavedDecoder::new(tables.to_vec());
-        let lanes = [
-            StreamLane { bytes: &bytes, start_bit: start, symbols: ask, table: 0 },
-            StreamLane { bytes: &bytes, start_bit: 0, symbols: ask / 2, table: 0 },
-        ];
-        let mut ic = DecodeCounters::default();
-        let got = dec.decode_streams(&lanes, &mut ic);
-        let mut sc = DecodeCounters::default();
-        let want = decode_lanes_sequential(&tables, &lanes, &mut sc);
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(ic, sc, "counter totals diverge");
+        for (from, want) in [(start, ask), (0, ask / 2)] {
+            if let Ok(syms) = assert_decode_n_agrees(&book, lut_bits, &bytes, from, want) {
+                prop_assert_eq!(syms.len(), want);
+            }
+        }
     }
 
-    /// Valid streams truncated mid-codeword (and over-asked) fail with
-    /// the same `UnexpectedEos`/`InvalidCode` positions as the reference.
+    /// Valid streams truncated mid-codeword and over-asked fail with the
+    /// same `UnexpectedEos`/`InvalidCode` positions on all three paths.
     #[test]
-    fn interleaved_matches_sequential_on_truncated_streams(
+    fn decode_n_matches_per_symbol_decode_on_truncated_streams(
         freqs in prop::collection::vec(1u64..500, 2..24),
+        lut_bits in 1u32..12,
         seed in any::<u64>(),
         n in 1usize..150,
         cut_pct in 0u32..=100,
         extra in 0usize..8,
     ) {
         let book = CodeBook::from_freqs(&freqs).unwrap();
-        let mut x = seed | 1;
-        let mut w = BitWriter::new();
-        for _ in 0..n {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            book.encode_into(((x >> 33) % freqs.len() as u64) as u32, &mut w);
-        }
-        let mut bytes = w.into_bytes();
+        let (msg, mut bytes) = encode_lcg(&book, freqs.len(), seed, n);
         bytes.truncate(bytes.len() * cut_pct as usize / 100);
-        let tables = [book.lut_decoder()];
-        let dec = InterleavedDecoder::new(tables.to_vec());
-        let lanes = [StreamLane {
-            bytes: &bytes,
-            start_bit: 0,
-            symbols: n + extra,
-            table: 0,
-        }];
-        let mut ic = DecodeCounters::default();
-        let got = dec.decode_streams(&lanes, &mut ic);
-        let mut sc = DecodeCounters::default();
-        let want = decode_lanes_sequential(&tables, &lanes, &mut sc);
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(ic, sc, "counter totals diverge");
+        // The cut stream is a prefix of the whole one, so a decode that
+        // succeeds on it starts with the message.
+        if let Ok(syms) = assert_decode_n_agrees(&book, lut_bits, &bytes, 0, n + extra) {
+            prop_assert_eq!(&syms[..n], &msg[..]);
+        }
     }
 }
 
