@@ -3,7 +3,7 @@
 //! Every figure needs the same prepared state: each workload compiled,
 //! traced, and encoded under each scheme. Before this engine existed,
 //! every figure recomputed all of it serially; now preparation
-//! fans out across cores through a work-stealing pool ([`pool`]) and
+//! fans out across cores through a worker pool ([`pool`]) and
 //! each artifact is persisted in a content-addressed cache ([`cache`]),
 //! so a warm run skips compile/emulate/encode entirely.
 //!
@@ -1077,7 +1077,7 @@ impl Engine {
         // not read the clock): one root `prepare` span, one `workload`
         // child per entry. Stage tasks below run under their workload's
         // span context, which travels with the job closure across the
-        // work-stealing pool — the span tree reflects which workload
+        // worker pool — the span tree reflects which workload
         // *caused* a build, not which thread ran it.
         let spans = self.sink.as_ref().map(|_| PrepareSpans {
             start_ns: self.clock.now_ns(),
@@ -1496,8 +1496,8 @@ mod tests {
         assert_eq!(root_names, vec!["prepare", "reports"]);
 
         // Every compile/emulate/encode span parents to a workload span
-        // whose detail is its workload's name — across the stealing
-        // pool under jobs=8.
+        // whose detail is its workload's name — across the worker pool
+        // under jobs=8.
         let node_of = |id: u64| forest.nodes().iter().find(|n| n.id == id).unwrap();
         for n in forest.nodes() {
             match n.name {

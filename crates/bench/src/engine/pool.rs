@@ -1,30 +1,26 @@
-//! A minimal work-stealing executor on scoped OS threads.
+//! A minimal dynamically balanced executor on scoped OS threads.
 //!
 //! The preparation matrix (8 workloads x 5 schemes, plus the
 //! compile/trace stage feeding it) is an embarrassingly parallel batch
 //! of uneven tasks: compiling `gcc` costs many times a `fig05` encode.
 //! Static partitioning would leave workers idle behind the long pole, so
-//! each worker owns a deque seeded round-robin and steals from the tail
-//! of its neighbours when it runs dry.
+//! every task is known before any worker starts and each worker claims
+//! the next unclaimed one from a shared atomic cursor when it is free.
 //!
-//! No crates.io dependencies (the build is offline — see DESIGN.md §6):
-//! the deques are `Mutex<VecDeque<usize>>`, which for task counts in the
-//! tens is contention-free in practice. Results are returned in task
-//! order regardless of execution interleaving, so parallel runs are
-//! bit-identical to `jobs = 1` runs as long as the tasks themselves are
-//! pure — which the determinism suite asserts end to end.
+//! No crates.io dependencies (the build is offline — see DESIGN.md §6).
+//! Results are returned in task order regardless of execution
+//! interleaving, so parallel runs are bit-identical to `jobs = 1` runs
+//! as long as the tasks themselves are pure — which the determinism
+//! suite asserts end to end.
 //!
-//! Two entry points share the executor: [`run_tasks`] propagates the
-//! first panicking task's payload (the historical behaviour, right for
-//! harness bugs), while [`run_tasks_isolated`] catches each task's
-//! panic individually — a poisoned job becomes an `Err(JobPanic)` slot
-//! in the result vector and every *worker thread survives*, which is
-//! what a long-running service needs from a batch with one bad element
-//! (DESIGN.md §13).
+//! [`run_tasks_isolated`] catches each task's panic individually — a
+//! poisoned job becomes an `Err(JobPanic)` slot in the result vector
+//! and every *worker thread survives*, which is what a long-running
+//! service needs from a batch with one bad element (DESIGN.md §13).
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 thread_local! {
@@ -32,9 +28,9 @@ thread_local! {
     /// [`with_span`] around a task body; producers inside the task
     /// (e.g. the engine's `cached` stage spans) read it with
     /// [`current_span`] to parent their spans. The value travels with
-    /// the task closure, not the worker thread: whichever thread steals
+    /// the task closure, not the worker thread: whichever thread claims
     /// the job installs the context before running it and restores the
-    /// previous value after, so parentage survives work-stealing.
+    /// previous value after, so parentage survives the hand-off.
     static CURRENT_SPAN: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -87,9 +83,10 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// [`run_tasks`] with per-task panic isolation: a panicking task yields
-/// `Err(JobPanic)` in its result slot instead of tearing down the pool.
-/// Worker threads always survive; result order is task order.
+/// Runs every task, using up to `jobs` worker threads, with per-task
+/// panic isolation: a panicking task yields `Err(JobPanic)` in its
+/// result slot instead of tearing down the pool. Worker threads always
+/// survive; result order is task order.
 pub fn run_tasks_isolated<T, F>(jobs: usize, tasks: Vec<F>) -> Vec<Result<T, JobPanic>>
 where
     T: Send,
@@ -121,7 +118,7 @@ where
 ///
 /// Propagates the first panicking task's payload after all workers have
 /// stopped (via [`std::thread::scope`]).
-pub fn run_tasks<T, F>(jobs: usize, tasks: Vec<F>) -> Vec<T>
+fn run_tasks<T, F>(jobs: usize, tasks: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
@@ -135,41 +132,23 @@ where
         return tasks.into_iter().map(|t| t()).collect();
     }
 
-    // Task slots (taken exactly once, guarded by deque ownership of the
-    // index), per-worker deques, and order-preserving result slots.
+    // Task slots, each claimed exactly once through the cursor, and
+    // order-preserving result slots.
     let slots: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, d) in (0..n).map(|i| (i, i % jobs)) {
-        deques[d].lock().expect("seeding").push_back(i);
-    }
+    let next = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
-        for me in 0..jobs {
-            let slots = &slots;
-            let results = &results;
-            let deques = &deques;
-            scope.spawn(move || loop {
-                // Own work first (front), then steal from a victim's tail.
-                let mut found = deques[me].lock().expect("own deque").pop_front();
-                if found.is_none() {
-                    for k in 1..jobs {
-                        let victim = (me + k) % jobs;
-                        if let Some(i) = deques[victim].lock().expect("victim deque").pop_back() {
-                            found = Some(i);
-                            break;
-                        }
-                    }
-                }
-                let Some(i) = found else { break };
-                let task = slots[i]
+        for _ in 0..jobs {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else { break };
+                let task = slot
                     .lock()
                     .expect("task slot")
                     .take()
                     .expect("task ran twice");
-                let out = task();
-                *results[i].lock().expect("result slot") = Some(out);
+                *results[i].lock().expect("result slot") = Some(task());
             });
         }
     });
@@ -187,7 +166,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn preserves_task_order() {
@@ -221,7 +199,7 @@ mod tests {
 
     #[test]
     fn uneven_tasks_complete() {
-        // Front-loads one long task so other workers must steal the rest.
+        // Front-loads one long task so other workers must take the rest.
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16)
             .map(|i| {
                 let f: Box<dyn FnOnce() -> usize + Send> = if i == 0 {
@@ -299,7 +277,7 @@ mod tests {
     #[test]
     fn span_context_travels_with_the_task_not_the_thread() {
         // Each task is wrapped with its own span id at submission time;
-        // whatever thread steals it must observe that id inside, and a
+        // whatever thread claims it must observe that id inside, and a
         // worker's context must be clean between tasks.
         let tasks: Vec<_> = (1..=64u64)
             .map(|id| move || with_span(id, || (id, current_span())))

@@ -79,7 +79,9 @@ pub fn emit_tailored_decoder_verilog(spec: &TailoredSpec, module_name: &str) -> 
     let _ = writeln!(v, "    word = 40'd0;");
     let _ = writeln!(v, "    word[0] = tail;");
     let _ = writeln!(v, "    case (opsel)");
-    for (dense, &orig) in spec.opsel.values().iter().enumerate() {
+    let pw = spec.pr.width();
+    let arms = spec.opsel.values().iter().zip(spec.opsel_bits());
+    for (dense, (&orig, len)) in arms.enumerate() {
         let opt = orig / 32;
         let opc = orig % 32;
         let _ = writeln!(v, "      {opw}'d{dense}: begin // opt={opt} opcode={opc}");
@@ -87,9 +89,8 @@ pub fn emit_tailored_decoder_verilog(spec: &TailoredSpec, module_name: &str) -> 
         let _ = writeln!(v, "        word[8:4] = 5'd{opc};");
         let _ = writeln!(
             v,
-            "        op_len = 6'd{}; // header {hw} + pred {} + payload",
-            hw + spec.pr.width(), // payload length is format-dependent; the
-            spec.pr.width()       // PLA stores the per-opcode total below.
+            "        op_len = 6'd{len}; // header {hw} + pred {pw} + payload {}",
+            len - hw - pw
         );
         let _ = writeln!(v, "      end");
     }

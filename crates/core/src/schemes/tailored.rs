@@ -11,14 +11,21 @@
 //! at fixed head positions so the decoder needs no search — exactly the
 //! decode-friendly regularity the paper's compiler looks for.
 //!
+//! Each operation kind's payload fields are listed once, in `walk`; the
+//! program scan, the sizes, the encoder, the decoder and the PLA's
+//! per-opcode lengths all follow that list. The decoder dispatches on
+//! the dense opsel code to a template kind taken from the program, so
+//! the `(OPT, OPCODE)` numbering stays in `tepic-isa`.
+//!
 //! Decoding a tailored op yields the processor's internal signals
 //! directly; no Huffman stage exists. The decoder is a compiler-emitted
 //! PLA (see [`crate::pla`] for the cost model and Verilog generator).
 
 use super::{BlockCodec, BlockDecodeError, CompressError, Scheme, SchemeOutput};
 use crate::encoded::{EncodedProgram, SchemeKind};
-use std::collections::HashMap;
-use tepic_isa::op::{Cond, FloatOpcode, IntOpcode, MemWidth, OpKind, Operation, SysCode};
+use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
+use tepic_isa::op::{BlockTarget, Cond, MemWidth, OpKind, Operation, SysCode};
 use tepic_isa::regs::{Fpr, Gpr, Pr};
 use tepic_isa::Program;
 use tinker_huffman::{BitReader, BitWriter};
@@ -97,6 +104,146 @@ fn signed_width(v: i32) -> u32 {
     }
 }
 
+/// One payload field of an operation, borrowed from its [`OpKind`].
+enum Field<'a> {
+    Gpr(&'a mut Gpr),
+    Fpr(&'a mut Fpr),
+    /// A compare's predicate destination (the guard is header, not
+    /// payload).
+    Pr(&'a mut Pr),
+    Cond(&'a mut Cond),
+    Mw(&'a mut MemWidth),
+    Lat(&'a mut u8),
+    Sys(&'a mut SysCode),
+    Imm(&'a mut i32),
+    Target(&'a mut BlockTarget),
+}
+
+/// Visits the payload fields of `kind` in encode order, stopping at the
+/// first error. This is the tailored ISA's one per-kind field list: the
+/// scan, the sizes, the encoder, the decoder and the PLA's per-opcode
+/// lengths all follow it.
+fn walk<E>(kind: &mut OpKind, mut f: impl FnMut(Field<'_>) -> Result<(), E>) -> Result<(), E> {
+    use Field as F;
+    match kind {
+        OpKind::IntAlu {
+            src1, src2, dest, ..
+        } => {
+            f(F::Gpr(src1))?;
+            f(F::Gpr(src2))?;
+            f(F::Gpr(dest))
+        }
+        OpKind::IntCmp {
+            cond,
+            src1,
+            src2,
+            dest,
+        } => {
+            f(F::Gpr(src1))?;
+            f(F::Gpr(src2))?;
+            f(F::Cond(cond))?;
+            f(F::Pr(dest))
+        }
+        OpKind::FloatCmp {
+            cond,
+            src1,
+            src2,
+            dest,
+        } => {
+            f(F::Fpr(src1))?;
+            f(F::Fpr(src2))?;
+            f(F::Cond(cond))?;
+            f(F::Pr(dest))
+        }
+        OpKind::LoadImm { imm, dest, .. } => {
+            f(F::Imm(imm))?;
+            f(F::Gpr(dest))
+        }
+        OpKind::Float {
+            src1, src2, dest, ..
+        } => {
+            f(F::Fpr(src1))?;
+            f(F::Fpr(src2))?;
+            f(F::Fpr(dest))
+        }
+        OpKind::CvtIf { src, dest } => {
+            f(F::Gpr(src))?;
+            f(F::Fpr(dest))
+        }
+        OpKind::CvtFi { src, dest } => {
+            f(F::Fpr(src))?;
+            f(F::Gpr(dest))
+        }
+        OpKind::Load {
+            width,
+            base,
+            lat,
+            dest,
+        } => {
+            f(F::Gpr(base))?;
+            f(F::Mw(width))?;
+            f(F::Lat(lat))?;
+            f(F::Gpr(dest))
+        }
+        OpKind::Store { width, base, value } => {
+            f(F::Gpr(base))?;
+            f(F::Mw(width))?;
+            f(F::Gpr(value))
+        }
+        OpKind::FLoad { base, lat, dest } => {
+            f(F::Gpr(base))?;
+            f(F::Lat(lat))?;
+            f(F::Fpr(dest))
+        }
+        OpKind::FStore { base, value } => {
+            f(F::Gpr(base))?;
+            f(F::Fpr(value))
+        }
+        OpKind::Branch { target } => f(F::Target(target)),
+        OpKind::Call { target, link } => {
+            f(F::Target(target))?;
+            f(F::Gpr(link))
+        }
+        OpKind::Ret { src } => f(F::Gpr(src)),
+        OpKind::Halt => Ok(()),
+        OpKind::Sys { code, arg } => {
+            f(F::Sys(code))?;
+            f(F::Gpr(arg))
+        }
+    }
+}
+
+/// [`walk`] over a copy of `kind`, for visitors that only read.
+fn visit(mut kind: OpKind, mut f: impl FnMut(Field<'_>)) {
+    let Ok(()) = walk(&mut kind, |x| {
+        f(x);
+        Ok::<(), Infallible>(())
+    });
+}
+
+/// The `(OPT, OPCODE)` pair of `op`, keyed as `opt * 32 + opcode`.
+fn opsel_key(op: &Operation) -> u32 {
+    let (opt, opc) = op.opt_opcode();
+    opt as u32 * 32 + opc as u32
+}
+
+fn bad(field: &'static str) -> BlockDecodeError {
+    BlockDecodeError::BadValue { field }
+}
+
+/// Maps a dense register code back through `table` to a register.
+fn reg<R>(
+    table: &Remap,
+    code: u64,
+    new: fn(u8) -> Option<R>,
+    field: &'static str,
+) -> Result<R, BlockDecodeError> {
+    table
+        .dec(code as u32)
+        .and_then(|v| new(v as u8))
+        .ok_or(bad(field))
+}
+
 /// The complete tailored ISA specification for one program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TailoredSpec {
@@ -124,114 +271,40 @@ pub struct TailoredSpec {
     pub imm_width: u32,
     /// Branch target field width (⌈log₂ #blocks⌉).
     pub target_width: u32,
+    /// The kind of the program's first op with each dense `opsel` code.
+    /// Decoding copies it and overwrites every payload field, so the
+    /// `(OPT, OPCODE)` → kind mapping stays in `tepic-isa`, as the PLA
+    /// is programmed.
+    templates: Vec<OpKind>,
 }
 
 impl TailoredSpec {
     /// Scans a program and computes all field widths and renumberings.
     pub fn compute(program: &Program) -> TailoredSpec {
         let mut spec_used = false;
-        let mut opsel = Vec::new();
-        let mut gpr = Vec::new();
-        let mut fpr = Vec::new();
-        let mut pr = Vec::new();
-        let mut cond = Vec::new();
-        let mut mw = Vec::new();
-        let mut lat = Vec::new();
-        let mut sys = Vec::new();
+        let mut templates = BTreeMap::new();
+        let [mut gpr, mut fpr, mut pr, mut cond, mut mw, mut lat, mut sys]: [Vec<u32>; 7] =
+            Default::default();
         let mut imm_width = 1u32;
         for op in program.ops() {
             spec_used |= op.spec;
-            let (opt, opc) = op.opt_opcode();
-            opsel.push(opt as u32 * 32 + opc as u32);
+            templates.entry(opsel_key(op)).or_insert(op.kind);
             pr.push(op.pred.index() as u32);
-            let mut g = |r: Gpr| gpr.push(r.index() as u32);
-            let mut f = |r: Fpr| fpr.push(r.index() as u32);
-            match op.kind {
-                OpKind::IntAlu {
-                    src1, src2, dest, ..
-                } => {
-                    g(src1);
-                    g(src2);
-                    g(dest);
-                }
-                OpKind::IntCmp {
-                    cond: c,
-                    src1,
-                    src2,
-                    dest,
-                } => {
-                    g(src1);
-                    g(src2);
-                    pr.push(dest.index() as u32);
-                    cond.push(c as u32);
-                }
-                OpKind::FloatCmp {
-                    cond: c,
-                    src1,
-                    src2,
-                    dest,
-                } => {
-                    f(src1);
-                    f(src2);
-                    pr.push(dest.index() as u32);
-                    cond.push(c as u32);
-                }
-                OpKind::LoadImm { imm, dest, .. } => {
-                    g(dest);
-                    imm_width = imm_width.max(signed_width(imm));
-                }
-                OpKind::Float {
-                    src1, src2, dest, ..
-                } => {
-                    f(src1);
-                    f(src2);
-                    f(dest);
-                }
-                OpKind::CvtIf { src, dest } => {
-                    g(src);
-                    f(dest);
-                }
-                OpKind::CvtFi { src, dest } => {
-                    f(src);
-                    g(dest);
-                }
-                OpKind::Load {
-                    width,
-                    base,
-                    lat: l,
-                    dest,
-                } => {
-                    g(base);
-                    g(dest);
-                    mw.push(width as u32);
-                    lat.push(l as u32);
-                }
-                OpKind::Store { width, base, value } => {
-                    g(base);
-                    g(value);
-                    mw.push(width as u32);
-                }
-                OpKind::FLoad { base, lat: l, dest } => {
-                    g(base);
-                    f(dest);
-                    lat.push(l as u32);
-                }
-                OpKind::FStore { base, value } => {
-                    g(base);
-                    f(value);
-                }
-                OpKind::Branch { .. } | OpKind::Halt => {}
-                OpKind::Call { link, .. } => g(link),
-                OpKind::Ret { src } => g(src),
-                OpKind::Sys { code, arg } => {
-                    g(arg);
-                    sys.push(code as u32);
-                }
-            }
+            visit(op.kind, |f| match f {
+                Field::Gpr(r) => gpr.push(r.index() as u32),
+                Field::Fpr(r) => fpr.push(r.index() as u32),
+                Field::Pr(r) => pr.push(r.index() as u32),
+                Field::Cond(c) => cond.push(*c as u32),
+                Field::Mw(w) => mw.push(*w as u32),
+                Field::Lat(l) => lat.push(*l as u32),
+                Field::Sys(s) => sys.push(*s as u32),
+                Field::Imm(v) => imm_width = imm_width.max(signed_width(*v)),
+                Field::Target(_) => {}
+            });
         }
         TailoredSpec {
             spec_used,
-            opsel: Remap::build(opsel),
+            opsel: Remap::build(templates.keys().copied().collect()),
             gpr: Remap::build(gpr),
             fpr: Remap::build(fpr),
             pr: Remap::build(pr),
@@ -241,6 +314,7 @@ impl TailoredSpec {
             sys: Remap::build(sys),
             imm_width,
             target_width: ceil_log2(program.num_blocks()).max(1),
+            templates: templates.into_values().collect(),
         }
     }
 
@@ -251,29 +325,83 @@ impl TailoredSpec {
 
     /// Encoded size in bits of one operation under this spec.
     pub fn op_bits(&self, op: &Operation) -> u32 {
-        self.header_width() + self.pr.width() + self.payload_bits(&op.kind)
+        self.kind_bits(op.kind)
     }
 
-    fn payload_bits(&self, kind: &OpKind) -> u32 {
-        let g = self.gpr.width();
-        let f = self.fpr.width();
-        match kind {
-            OpKind::IntAlu { .. } => 3 * g,
-            OpKind::IntCmp { .. } => 2 * g + self.cond.width() + self.pr.width(),
-            OpKind::FloatCmp { .. } => 2 * f + self.cond.width() + self.pr.width(),
-            OpKind::LoadImm { .. } => self.imm_width + g,
-            OpKind::Float { .. } => 3 * f,
-            OpKind::CvtIf { .. } | OpKind::CvtFi { .. } => g + f,
-            OpKind::Load { .. } => 2 * g + self.mw.width() + self.lat.width(),
-            OpKind::Store { .. } => 2 * g + self.mw.width(),
-            OpKind::FLoad { .. } => g + f + self.lat.width(),
-            OpKind::FStore { .. } => g + f,
-            OpKind::Branch { .. } => self.target_width,
-            OpKind::Call { .. } => self.target_width + g,
-            OpKind::Ret { .. } => g,
-            OpKind::Halt => 0,
-            OpKind::Sys { .. } => self.sys.width() + g,
+    /// Encoded size in bits of an op of each dense `opsel` code, in
+    /// dense order: the PLA's per-opcode lengths.
+    pub(crate) fn opsel_bits(&self) -> impl Iterator<Item = u32> + '_ {
+        self.templates.iter().map(|&kind| self.kind_bits(kind))
+    }
+
+    fn kind_bits(&self, kind: OpKind) -> u32 {
+        let mut bits = self.header_width() + self.pr.width();
+        visit(kind, |f| bits += self.width(&f));
+        bits
+    }
+
+    /// Width of a field under this spec.
+    fn width(&self, f: &Field<'_>) -> u32 {
+        match f {
+            Field::Gpr(_) => self.gpr.width(),
+            Field::Fpr(_) => self.fpr.width(),
+            Field::Pr(_) => self.pr.width(),
+            Field::Cond(_) => self.cond.width(),
+            Field::Mw(_) => self.mw.width(),
+            Field::Lat(_) => self.lat.width(),
+            Field::Sys(_) => self.sys.width(),
+            Field::Imm(_) => self.imm_width,
+            Field::Target(_) => self.target_width,
         }
+    }
+
+    /// The code a field is written as (only its low [`Self::width`] bits
+    /// are stored, which sign-truncates immediates).
+    fn code(&self, f: &Field<'_>) -> u64 {
+        u64::from(match f {
+            Field::Gpr(r) => self.gpr.enc(r.index() as u32),
+            Field::Fpr(r) => self.fpr.enc(r.index() as u32),
+            Field::Pr(r) => self.pr.enc(r.index() as u32),
+            Field::Cond(c) => self.cond.enc(**c as u32),
+            Field::Mw(w) => self.mw.enc(**w as u32),
+            Field::Lat(l) => self.lat.enc(**l as u32),
+            Field::Sys(s) => self.sys.enc(**s as u32),
+            Field::Imm(v) => **v as u32,
+            Field::Target(t) => u32::from(**t),
+        })
+    }
+
+    /// Reads one field's code and stores the value it stands for,
+    /// checked against the renumbering tables.
+    fn read(&self, f: Field<'_>, r: &mut BitReader<'_>) -> Result<(), BlockDecodeError> {
+        let code = r.read_bits(self.width(&f)).ok_or(BlockDecodeError::Eos)?;
+        let dense = |table: &Remap| table.dec(code as u32);
+        match f {
+            Field::Gpr(x) => *x = reg(&self.gpr, code, Gpr::try_new, "gpr")?,
+            Field::Fpr(x) => *x = reg(&self.fpr, code, Fpr::try_new, "fpr")?,
+            Field::Pr(x) => *x = reg(&self.pr, code, Pr::try_new, "pred dest")?,
+            Field::Cond(x) => {
+                *x = dense(&self.cond)
+                    .and_then(|v| Cond::ALL.get(v as usize).copied())
+                    .ok_or(bad("cond"))?;
+            }
+            Field::Mw(x) => *x = dense(&self.mw).map(decode_mw).ok_or(bad("mem width"))?,
+            Field::Lat(x) => *x = dense(&self.lat).ok_or(bad("load latency"))? as u8,
+            Field::Sys(x) => {
+                *x = match dense(&self.sys) {
+                    Some(1) => SysCode::PrintInt,
+                    Some(2) => SysCode::PrintChar,
+                    _ => return Err(bad("sys code")),
+                };
+            }
+            Field::Imm(x) => {
+                // Sign-extend from imm_width.
+                let shift = 32 - self.imm_width;
+                *x = ((code as u32) << shift) as i32 >> shift;
+            }
+            Field::Target(x) => *x = code as BlockTarget,
+        }
+        Ok(())
     }
 
     fn encode_op(&self, op: &Operation, w: &mut BitWriter) {
@@ -281,109 +409,9 @@ impl TailoredSpec {
         if self.spec_used {
             w.write_bit(op.spec);
         }
-        let (opt, opc) = op.opt_opcode();
-        w.write_bits(
-            self.opsel.enc(opt as u32 * 32 + opc as u32) as u64,
-            self.opsel.width(),
-        );
+        w.write_bits(self.opsel.enc(opsel_key(op)) as u64, self.opsel.width());
         w.write_bits(self.pr.enc(op.pred.index() as u32) as u64, self.pr.width());
-        let gw = self.gpr.width();
-        let fw = self.fpr.width();
-        let wg =
-            |w: &mut BitWriter, r: Gpr| w.write_bits(self.gpr.enc(r.index() as u32) as u64, gw);
-        let wf =
-            |w: &mut BitWriter, r: Fpr| w.write_bits(self.fpr.enc(r.index() as u32) as u64, fw);
-        match op.kind {
-            OpKind::IntAlu {
-                src1, src2, dest, ..
-            } => {
-                wg(w, src1);
-                wg(w, src2);
-                wg(w, dest);
-            }
-            OpKind::IntCmp {
-                cond,
-                src1,
-                src2,
-                dest,
-            } => {
-                wg(w, src1);
-                wg(w, src2);
-                w.write_bits(self.cond.enc(cond as u32) as u64, self.cond.width());
-                w.write_bits(self.pr.enc(dest.index() as u32) as u64, self.pr.width());
-            }
-            OpKind::FloatCmp {
-                cond,
-                src1,
-                src2,
-                dest,
-            } => {
-                wf(w, src1);
-                wf(w, src2);
-                w.write_bits(self.cond.enc(cond as u32) as u64, self.cond.width());
-                w.write_bits(self.pr.enc(dest.index() as u32) as u64, self.pr.width());
-            }
-            OpKind::LoadImm { imm, dest, .. } => {
-                w.write_bits(
-                    (imm as u32 as u64) & ((1u64 << self.imm_width) - 1),
-                    self.imm_width,
-                );
-                wg(w, dest);
-            }
-            OpKind::Float {
-                src1, src2, dest, ..
-            } => {
-                wf(w, src1);
-                wf(w, src2);
-                wf(w, dest);
-            }
-            OpKind::CvtIf { src, dest } => {
-                wg(w, src);
-                wf(w, dest);
-            }
-            OpKind::CvtFi { src, dest } => {
-                wf(w, src);
-                wg(w, dest);
-            }
-            OpKind::Load {
-                width,
-                base,
-                lat,
-                dest,
-            } => {
-                wg(w, base);
-                w.write_bits(self.mw.enc(width as u32) as u64, self.mw.width());
-                w.write_bits(self.lat.enc(lat as u32) as u64, self.lat.width());
-                wg(w, dest);
-            }
-            OpKind::Store { width, base, value } => {
-                wg(w, base);
-                w.write_bits(self.mw.enc(width as u32) as u64, self.mw.width());
-                wg(w, value);
-            }
-            OpKind::FLoad { base, lat, dest } => {
-                wg(w, base);
-                w.write_bits(self.lat.enc(lat as u32) as u64, self.lat.width());
-                wf(w, dest);
-            }
-            OpKind::FStore { base, value } => {
-                wg(w, base);
-                wf(w, value);
-            }
-            OpKind::Branch { target } => {
-                w.write_bits(target as u64, self.target_width);
-            }
-            OpKind::Call { target, link } => {
-                w.write_bits(target as u64, self.target_width);
-                wg(w, link);
-            }
-            OpKind::Ret { src } => wg(w, src),
-            OpKind::Halt => {}
-            OpKind::Sys { code, arg } => {
-                w.write_bits(self.sys.enc(code as u32) as u64, self.sys.width());
-                wg(w, arg);
-            }
-        }
+        visit(op.kind, |f| w.write_bits(self.code(&f), self.width(&f)));
     }
 
     /// Decodes one tailored operation.
@@ -394,185 +422,13 @@ impl TailoredSpec {
     /// [`BlockDecodeError::BadValue`] when a dense field code falls
     /// outside its renumbering table (corrupt stream or tables).
     pub fn decode_op(&self, r: &mut BitReader<'_>) -> Result<Operation, BlockDecodeError> {
-        fn bit(r: &mut BitReader<'_>) -> Result<bool, BlockDecodeError> {
-            r.read_bit().ok_or(BlockDecodeError::Eos)
-        }
-        fn bits(r: &mut BitReader<'_>, n: u32) -> Result<u64, BlockDecodeError> {
-            r.read_bits(n).ok_or(BlockDecodeError::Eos)
-        }
-        fn bad(field: &'static str) -> BlockDecodeError {
-            BlockDecodeError::BadValue { field }
-        }
-        let tail = bit(r)?;
-        let spec = if self.spec_used { bit(r)? } else { false };
-        let opsel = self
-            .opsel
-            .dec(bits(r, self.opsel.width())? as u32)
-            .ok_or(bad("opsel"))?;
-        let pred = self
-            .pr
-            .dec(bits(r, self.pr.width())? as u32)
-            .and_then(|v| Pr::try_new(v as u8))
-            .ok_or(bad("pred"))?;
-        let gw = self.gpr.width();
-        let fw = self.fpr.width();
-        let (opt, opc) = (opsel / 32, opsel % 32);
-        // Reconstruct via the original 40-bit pathway so opcode decoding
-        // stays in one place: build the word header + fields.
-        let rg = |r: &mut BitReader<'_>| -> Result<Gpr, BlockDecodeError> {
-            self.gpr
-                .dec(bits(r, gw)? as u32)
-                .and_then(|v| Gpr::try_new(v as u8))
-                .ok_or(bad("gpr"))
-        };
-        let rf = |r: &mut BitReader<'_>| -> Result<Fpr, BlockDecodeError> {
-            self.fpr
-                .dec(bits(r, fw)? as u32)
-                .and_then(|v| Fpr::try_new(v as u8))
-                .ok_or(bad("fpr"))
-        };
-        use tepic_isa::op::OpType;
-        let optype = OpType::from_bits(opt as u64);
-        let kind = match (optype, opc) {
-            (OpType::Int, 16) => {
-                let src1 = rg(r)?;
-                let src2 = rg(r)?;
-                let cond = self
-                    .cond
-                    .dec(bits(r, self.cond.width())? as u32)
-                    .and_then(|v| Cond::ALL.get(v as usize).copied())
-                    .ok_or(bad("cond"))?;
-                let dest = self
-                    .pr
-                    .dec(bits(r, self.pr.width())? as u32)
-                    .and_then(|v| Pr::try_new(v as u8))
-                    .ok_or(bad("pred dest"))?;
-                OpKind::IntCmp {
-                    cond,
-                    src1,
-                    src2,
-                    dest,
-                }
-            }
-            (OpType::Int, 17) | (OpType::Int, 18) => {
-                let raw = bits(r, self.imm_width)? as u32;
-                // Sign-extend from imm_width.
-                let shift = 32 - self.imm_width;
-                let imm = ((raw << shift) as i32) >> shift;
-                OpKind::LoadImm {
-                    high: opc == 18,
-                    imm,
-                    dest: rg(r)?,
-                }
-            }
-            (OpType::Int, c) => OpKind::IntAlu {
-                op: *IntOpcode::ALL.get(c as usize).ok_or(bad("int opcode"))?,
-                src1: rg(r)?,
-                src2: rg(r)?,
-                dest: rg(r)?,
-            },
-            (OpType::Float, 16) => {
-                let src1 = rf(r)?;
-                let src2 = rf(r)?;
-                let cond = self
-                    .cond
-                    .dec(bits(r, self.cond.width())? as u32)
-                    .and_then(|v| Cond::ALL.get(v as usize).copied())
-                    .ok_or(bad("cond"))?;
-                let dest = self
-                    .pr
-                    .dec(bits(r, self.pr.width())? as u32)
-                    .and_then(|v| Pr::try_new(v as u8))
-                    .ok_or(bad("pred dest"))?;
-                OpKind::FloatCmp {
-                    cond,
-                    src1,
-                    src2,
-                    dest,
-                }
-            }
-            (OpType::Float, 17) => OpKind::CvtIf {
-                src: rg(r)?,
-                dest: rf(r)?,
-            },
-            (OpType::Float, 18) => OpKind::CvtFi {
-                src: rf(r)?,
-                dest: rg(r)?,
-            },
-            (OpType::Float, c) => OpKind::Float {
-                op: *FloatOpcode::ALL
-                    .get(c as usize)
-                    .ok_or(bad("float opcode"))?,
-                src1: rf(r)?,
-                src2: rf(r)?,
-                dest: rf(r)?,
-            },
-            (OpType::Mem, 0) => {
-                let base = rg(r)?;
-                let width = self
-                    .mw
-                    .dec(bits(r, self.mw.width())? as u32)
-                    .map(decode_mw)
-                    .ok_or(bad("mem width"))?;
-                let lat = self
-                    .lat
-                    .dec(bits(r, self.lat.width())? as u32)
-                    .ok_or(bad("load latency"))? as u8;
-                OpKind::Load {
-                    width,
-                    base,
-                    lat,
-                    dest: rg(r)?,
-                }
-            }
-            (OpType::Mem, 1) => {
-                let base = rg(r)?;
-                let width = self
-                    .mw
-                    .dec(bits(r, self.mw.width())? as u32)
-                    .map(decode_mw)
-                    .ok_or(bad("mem width"))?;
-                OpKind::Store {
-                    width,
-                    base,
-                    value: rg(r)?,
-                }
-            }
-            (OpType::Mem, 2) => {
-                let base = rg(r)?;
-                let lat = self
-                    .lat
-                    .dec(bits(r, self.lat.width())? as u32)
-                    .ok_or(bad("load latency"))? as u8;
-                OpKind::FLoad {
-                    base,
-                    lat,
-                    dest: rf(r)?,
-                }
-            }
-            (OpType::Mem, 3) => OpKind::FStore {
-                base: rg(r)?,
-                value: rf(r)?,
-            },
-            (OpType::Ctrl, 0) => OpKind::Branch {
-                target: bits(r, self.target_width)? as u16,
-            },
-            (OpType::Ctrl, 1) => OpKind::Call {
-                target: bits(r, self.target_width)? as u16,
-                link: rg(r)?,
-            },
-            (OpType::Ctrl, 2) => OpKind::Ret { src: rg(r)? },
-            (OpType::Ctrl, 3) => OpKind::Halt,
-            (OpType::Ctrl, 4) => {
-                let code = match self.sys.dec(bits(r, self.sys.width())? as u32) {
-                    Some(1) => SysCode::PrintInt,
-                    Some(2) => SysCode::PrintChar,
-                    _ => return Err(bad("sys code")),
-                };
-                OpKind::Sys { code, arg: rg(r)? }
-            }
-            _ => return Err(bad("opcode")),
-        };
+        let mut bits = |n| r.read_bits(n).ok_or(BlockDecodeError::Eos);
+        let tail = bits(1)? != 0;
+        let spec = self.spec_used && bits(1)? != 0;
+        let opsel = bits(self.opsel.width())?;
+        let mut kind = *self.templates.get(opsel as usize).ok_or(bad("opsel"))?;
+        let pred = reg(&self.pr, bits(self.pr.width())?, Pr::try_new, "pred")?;
+        walk(&mut kind, |f| self.read(f, r))?;
         Ok(Operation {
             tail,
             spec,

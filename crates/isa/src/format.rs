@@ -1,15 +1,11 @@
 //! Bit-level field layouts of the seven TEPIC operation formats
 //! (paper Appendix, Table 2).
 //!
-//! The layouts drive three consumers:
-//!
-//! * the Table 2 printer (`render_table2`) used by the experiment harness;
-//! * the *stream-based* Huffman alphabets, which split each 40-bit word at
-//!   fixed field boundaries (paper Figure 3);
-//! * the *tailored* encoder, which shrinks each field class to the minimum
-//!   width the program needs (paper §2.3).
+//! The layouts are data for the Table 2 printer (`render_table2`) used
+//! by the experiment harness. The encoder and decoder in [`crate::op`]
+//! carry their own field offsets, and the tailored scheme lists each
+//! operation kind's fields in `ccc-core`.
 
-use crate::op::{OpKind, Operation};
 use std::fmt;
 
 /// The seven operation formats of TEPIC.
@@ -42,23 +38,6 @@ impl OpFormat {
         OpFormat::Store,
         OpFormat::Branch,
     ];
-
-    /// The format used to encode `op`.
-    pub fn of(op: &Operation) -> OpFormat {
-        match op.kind {
-            OpKind::IntAlu { .. } | OpKind::CvtIf { .. } | OpKind::CvtFi { .. } => OpFormat::IntAlu,
-            OpKind::IntCmp { .. } | OpKind::FloatCmp { .. } => OpFormat::IntCmp,
-            OpKind::LoadImm { .. } => OpFormat::LoadImm,
-            OpKind::Float { .. } => OpFormat::Float,
-            OpKind::Load { .. } | OpKind::FLoad { .. } => OpFormat::Load,
-            OpKind::Store { .. } | OpKind::FStore { .. } => OpFormat::Store,
-            OpKind::Branch { .. }
-            | OpKind::Call { .. }
-            | OpKind::Ret { .. }
-            | OpKind::Halt
-            | OpKind::Sys { .. } => OpFormat::Branch,
-        }
-    }
 
     /// Human-readable name matching the paper's Table 2 captions.
     pub fn name(self) -> &'static str {
@@ -94,42 +73,6 @@ impl fmt::Display for OpFormat {
     }
 }
 
-/// Semantic class of a field; the tailored encoder keys its width
-/// minimization off this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FieldClass {
-    /// Tail bit (zero-NOP MOP delimiter) — never shrinkable.
-    Tail,
-    /// Speculative bit.
-    Spec,
-    /// 2-bit operation type.
-    OpType,
-    /// 5-bit opcode — shrinkable to ⌈log₂(#opcodes used)⌉.
-    Opcode,
-    /// GPR source/destination index — shrinkable to ⌈log₂(#GPRs used)⌉.
-    GprIdx,
-    /// FPR index.
-    FprIdx,
-    /// Predicate register index.
-    PrIdx,
-    /// Comparison condition (`D1`).
-    Cond,
-    /// Memory access width (`BHWX`).
-    MemWidth,
-    /// Load latency hint.
-    Lat,
-    /// Immediate value — shrinkable to the widest immediate used.
-    Imm,
-    /// Branch target (block index) — shrinkable to ⌈log₂(#blocks)⌉.
-    Target,
-    /// Counter / link / syscall-id field of the branch format.
-    Counter,
-    /// L1 / S-D / t-s-s-L-U miscellaneous single-purpose bits.
-    Misc,
-    /// Reserved — dropped entirely by the tailored encoder.
-    Reserved,
-}
-
 /// One field of an operation format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FieldSpec {
@@ -139,109 +82,104 @@ pub struct FieldSpec {
     pub offset: u32,
     /// Width in bits.
     pub width: u32,
-    /// Semantic class.
-    pub class: FieldClass,
 }
 
-const fn fs(name: &'static str, offset: u32, width: u32, class: FieldClass) -> FieldSpec {
+const fn fs(name: &'static str, offset: u32, width: u32) -> FieldSpec {
     FieldSpec {
         name,
         offset,
         width,
-        class,
     }
 }
 
-use FieldClass as C;
-
 static INT_ALU_FIELDS: [FieldSpec; 10] = [
-    fs("T", 0, 1, C::Tail),
-    fs("S", 1, 1, C::Spec),
-    fs("OPT", 2, 2, C::OpType),
-    fs("OPCODE", 4, 5, C::Opcode),
-    fs("Src1", 9, 5, C::GprIdx),
-    fs("Src2", 14, 5, C::GprIdx),
-    fs("BHWX", 19, 2, C::MemWidth),
-    fs("Reserved", 21, 8, C::Reserved),
-    fs("Dest", 29, 5, C::GprIdx),
+    fs("T", 0, 1),
+    fs("S", 1, 1),
+    fs("OPT", 2, 2),
+    fs("OPCODE", 4, 5),
+    fs("Src1", 9, 5),
+    fs("Src2", 14, 5),
+    fs("BHWX", 19, 2),
+    fs("Reserved", 21, 8),
+    fs("Dest", 29, 5),
     // L1 and PREDICATE are merged into the trailing guard fields below.
-    fs("L1+PREDICATE", 34, 6, C::PrIdx),
+    fs("L1+PREDICATE", 34, 6),
 ];
 
 static INT_CMP_FIELDS: [FieldSpec; 11] = [
-    fs("T", 0, 1, C::Tail),
-    fs("S", 1, 1, C::Spec),
-    fs("OPT", 2, 2, C::OpType),
-    fs("OPCODE", 4, 5, C::Opcode),
-    fs("Src1", 9, 5, C::GprIdx),
-    fs("Src2", 14, 5, C::GprIdx),
-    fs("BHWX", 19, 2, C::MemWidth),
-    fs("D1", 21, 3, C::Cond),
-    fs("Reserved", 24, 5, C::Reserved),
-    fs("Dest", 29, 5, C::PrIdx),
-    fs("L1+PREDICATE", 34, 6, C::PrIdx),
+    fs("T", 0, 1),
+    fs("S", 1, 1),
+    fs("OPT", 2, 2),
+    fs("OPCODE", 4, 5),
+    fs("Src1", 9, 5),
+    fs("Src2", 14, 5),
+    fs("BHWX", 19, 2),
+    fs("D1", 21, 3),
+    fs("Reserved", 24, 5),
+    fs("Dest", 29, 5),
+    fs("L1+PREDICATE", 34, 6),
 ];
 
 static LOAD_IMM_FIELDS: [FieldSpec; 7] = [
-    fs("T", 0, 1, C::Tail),
-    fs("S", 1, 1, C::Spec),
-    fs("OPT", 2, 2, C::OpType),
-    fs("OPCODE", 4, 5, C::Opcode),
-    fs("Src1(imm20)", 9, 20, C::Imm),
-    fs("Dest", 29, 5, C::GprIdx),
-    fs("L1+PREDICATE", 34, 6, C::PrIdx),
+    fs("T", 0, 1),
+    fs("S", 1, 1),
+    fs("OPT", 2, 2),
+    fs("OPCODE", 4, 5),
+    fs("Src1(imm20)", 9, 20),
+    fs("Dest", 29, 5),
+    fs("L1+PREDICATE", 34, 6),
 ];
 
 static FLOAT_FIELDS: [FieldSpec; 10] = [
-    fs("T", 0, 1, C::Tail),
-    fs("S", 1, 1, C::Spec),
-    fs("OPT", 2, 2, C::OpType),
-    fs("OPCODE", 4, 5, C::Opcode),
-    fs("Src1", 9, 5, C::FprIdx),
-    fs("Src2", 14, 5, C::FprIdx),
-    fs("S/D", 19, 1, C::Misc),
-    fs("Reserved", 20, 6, C::Reserved),
-    fs("tssL/U", 26, 3, C::Misc),
-    fs("Dest+L1+PREDICATE", 29, 11, C::FprIdx),
+    fs("T", 0, 1),
+    fs("S", 1, 1),
+    fs("OPT", 2, 2),
+    fs("OPCODE", 4, 5),
+    fs("Src1", 9, 5),
+    fs("Src2", 14, 5),
+    fs("S/D", 19, 1),
+    fs("Reserved", 20, 6),
+    fs("tssL/U", 26, 3),
+    fs("Dest+L1+PREDICATE", 29, 11),
 ];
 
 static LOAD_FIELDS: [FieldSpec; 12] = [
-    fs("T", 0, 1, C::Tail),
-    fs("S", 1, 1, C::Spec),
-    fs("OPT", 2, 2, C::OpType),
-    fs("OPCODE", 4, 5, C::Opcode),
-    fs("Src1", 9, 5, C::GprIdx),
-    fs("BHWX", 14, 2, C::MemWidth),
-    fs("SCS", 16, 2, C::Misc),
-    fs("Res", 18, 1, C::Reserved),
-    fs("TCS", 19, 2, C::Misc),
-    fs("Reserved+Lat", 21, 8, C::Lat),
-    fs("Dest", 29, 5, C::GprIdx),
-    fs("Rsv+PREDICATE", 34, 6, C::PrIdx),
+    fs("T", 0, 1),
+    fs("S", 1, 1),
+    fs("OPT", 2, 2),
+    fs("OPCODE", 4, 5),
+    fs("Src1", 9, 5),
+    fs("BHWX", 14, 2),
+    fs("SCS", 16, 2),
+    fs("Res", 18, 1),
+    fs("TCS", 19, 2),
+    fs("Reserved+Lat", 21, 8),
+    fs("Dest", 29, 5),
+    fs("Rsv+PREDICATE", 34, 6),
 ];
 
 static STORE_FIELDS: [FieldSpec; 10] = [
-    fs("T", 0, 1, C::Tail),
-    fs("S", 1, 1, C::Spec),
-    fs("OPT", 2, 2, C::OpType),
-    fs("OPCODE", 4, 5, C::Opcode),
-    fs("Src1", 9, 5, C::GprIdx),
-    fs("Src2", 14, 5, C::GprIdx),
-    fs("BHWX", 19, 2, C::MemWidth),
-    fs("TCS", 21, 2, C::Misc),
-    fs("Reserved", 23, 11, C::Reserved),
-    fs("L1+PREDICATE", 34, 6, C::PrIdx),
+    fs("T", 0, 1),
+    fs("S", 1, 1),
+    fs("OPT", 2, 2),
+    fs("OPCODE", 4, 5),
+    fs("Src1", 9, 5),
+    fs("Src2", 14, 5),
+    fs("BHWX", 19, 2),
+    fs("TCS", 21, 2),
+    fs("Reserved", 23, 11),
+    fs("L1+PREDICATE", 34, 6),
 ];
 
 static BRANCH_FIELDS: [FieldSpec; 8] = [
-    fs("T", 0, 1, C::Tail),
-    fs("S", 1, 1, C::Spec),
-    fs("OPT", 2, 2, C::OpType),
-    fs("OPCODE", 4, 5, C::Opcode),
-    fs("Src1", 9, 5, C::GprIdx),
-    fs("Counter", 14, 5, C::Counter),
-    fs("Target", 19, 16, C::Target),
-    fs("PREDICATE", 35, 5, C::PrIdx),
+    fs("T", 0, 1),
+    fs("S", 1, 1),
+    fs("OPT", 2, 2),
+    fs("OPCODE", 4, 5),
+    fs("Src1", 9, 5),
+    fs("Counter", 14, 5),
+    fs("Target", 19, 16),
+    fs("PREDICATE", 35, 5),
 ];
 
 /// Renders the paper's Table 2 ("Summary of the baseline TEPIC ISA") as
@@ -265,8 +203,6 @@ pub fn render_table2() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{IntOpcode, OpKind};
-    use crate::regs::{Gpr, Pr};
 
     #[test]
     fn every_format_covers_exactly_40_bits() {
@@ -282,29 +218,6 @@ mod tests {
             }
             assert_eq!(cursor, 40);
         }
-    }
-
-    #[test]
-    fn format_of_matches_encoding_dispatch() {
-        let op = Operation {
-            tail: true,
-            spec: false,
-            pred: Pr::P0,
-            kind: OpKind::IntAlu {
-                op: IntOpcode::Add,
-                src1: Gpr::ZERO,
-                src2: Gpr::ZERO,
-                dest: Gpr::ZERO,
-            },
-        };
-        assert_eq!(OpFormat::of(&op), OpFormat::IntAlu);
-        let halt = Operation {
-            tail: true,
-            spec: false,
-            pred: Pr::P0,
-            kind: OpKind::Halt,
-        };
-        assert_eq!(OpFormat::of(&halt), OpFormat::Branch);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!
 //! The crate provides:
 //!
-//! * the seven operation formats of the paper's Appendix Table 2
-//!   ([`format::OpFormat`]), with exact bit-level field layouts;
+//! * the bit-level field layouts of the seven operation formats of the
+//!   paper's Appendix Table 2 ([`format::OpFormat`]), from which that
+//!   table is printed;
 //! * a typed, decoded operation representation ([`op::Operation`]) with
 //!   lossless 40-bit [`op::Operation::encode`] / [`op::Operation::decode`];
 //! * zero-NOP *MultiOps* (VLIW issue groups delimited by tail bits,

@@ -4,9 +4,9 @@
 //!
 //! Producers stamp every span with a trace-unique `id` and the `parent`
 //! id that was current when the work was *scheduled* (0 = root). The
-//! parent link travels with the job closure across the work-stealing
-//! pool, so the tree reflects causality, not thread residency. This
-//! module turns the flat drained event list back into a forest,
+//! parent link travels with the job closure across the worker pool,
+//! so the tree reflects causality, not thread residency. This module
+//! turns the flat drained event list back into a forest,
 //! checks it is well-formed (unique ids, no orphan parents, children
 //! nested inside their parent's `[start, end]` window) and answers the
 //! two questions attribution needs: *where did the wall-clock go*

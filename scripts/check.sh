@@ -39,36 +39,35 @@ rm -rf "$CCC_SMOKE_DIR"
 rm -rf "$CCC_SMOKE_DIR"
 echo "cold run reproduces results/fig05_compression.txt; warm rerun fully cache-served"
 
-echo "==> trace/metrics reconciliation smoke (all five schemes)"
+echo "==> trace/metrics reconciliation smoke (base + all five schemes)"
 # CCC_TRACE_SMOKE=1 implies --check: each emitted Chrome trace must be
 # well-formed JSON with every required pipeline-stage span present for
 # that scheme (span-coverage gaps fail), causally well-formed span
 # ids/parents, zero dropped events, and per-kind event totals that
 # reconcile exactly with the metrics snapshot
-# (results/METRICS_<scheme>.json).
-CCC_TRACE_DIR="${TMPDIR:-/tmp}/ccc-trace-smoke-$$"
-mkdir -p "$CCC_TRACE_DIR"
-for scheme in byte stream stream_1 full tailored; do
+# (results/METRICS_<scheme>.json). The traces stay in
+# target/tmp/trace-<scheme>.json (uploaded by CI).
+mkdir -p target/tmp
+for scheme in base byte stream stream_1 full tailored; do
     CCC_TRACE_SMOKE=1 ./target/release/tepic-cc trace --workload li --scheme "$scheme" \
-        --out "$CCC_TRACE_DIR/trace-$scheme.json" >/dev/null
+        --out "target/tmp/trace-$scheme.json" >/dev/null
     [ -s "results/METRICS_$scheme.json" ] || {
         echo "missing results/METRICS_$scheme.json" >&2
         exit 1
     }
 done
-rm -rf "$CCC_TRACE_DIR"
-echo "all five schemes reconcile with their metrics snapshots"
+echo "base and all five schemes reconcile with their metrics snapshots"
 
 echo "==> chaos self-healing smoke"
 # CCC_CHAOS_SMOKE=1 runs one reduced chaos campaign: the full figure
 # pipeline under injected cache/pool/stage/decode faults must emit
 # byte-identical figures, reconcile every injected fault against a
-# recovery action, and cover every site class. The verdict goes to a
-# scratch file: the report records the host's job count, so writing it
-# over the committed results/CHAOS_report.json would dirty the tree.
-CCC_CHAOS_OUT="${TMPDIR:-/tmp}/ccc-chaos-smoke-$$.json"
-CCC_CHAOS_SMOKE=1 ./target/release/tepic-cc chaos --seed 42 --out "$CCC_CHAOS_OUT" >/dev/null
-rm -f "$CCC_CHAOS_OUT"
+# recovery action, and cover every site class. The verdict goes to
+# target/tmp/CHAOS_report.json (uploaded by CI): the report records the
+# host's job count, so writing it over the committed
+# results/CHAOS_report.json would dirty the tree.
+CCC_CHAOS_SMOKE=1 ./target/release/tepic-cc chaos --seed 42 \
+    --out target/tmp/CHAOS_report.json >/dev/null
 echo "figures byte-identical under fault injection; recovery reconciled"
 
 echo "==> synthetic workload generation smoke"

@@ -58,7 +58,7 @@ fn simulation_is_deterministic_across_configs() {
 
 #[test]
 fn parallel_preparation_matches_serial() {
-    // The work-stealing engine must be invisible in the results: the
+    // The parallel engine must be invisible in the results: the
     // whole prepared suite — programs, traces, every encoded image — and
     // the downstream fetch statistics must be bit-identical whether one
     // worker runs every task (the reference serial schedule) or eight

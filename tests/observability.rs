@@ -2,7 +2,7 @@
 //! CRC-framed run ledger must round-trip arbitrary records and shrug
 //! off truncated or corrupted lines, and the causal span forest a real
 //! engine run produces must stay well-formed — with stage-span
-//! parentage intact — across the work-stealing pool hand-off.
+//! parentage intact — across the worker pool hand-off.
 
 use proptest::prelude::*;
 use std::path::PathBuf;

@@ -130,6 +130,35 @@ fn tailored_verilog_emits_for_every_workload() {
 }
 
 #[test]
+fn tailored_verilog_op_len_is_each_opcodes_encoded_size() {
+    use std::collections::HashMap;
+    use tepic_ccc::ccc::pla::emit_tailored_decoder_verilog;
+    use tepic_ccc::ccc::schemes::tailored::TailoredSpec;
+    for w in &workloads::ALL {
+        let program = w.compile().unwrap();
+        let spec = TailoredSpec::compute(&program);
+        let v = emit_tailored_decoder_verilog(&spec, "d");
+        // Dense opsel code of each case arm -> the op_len the arm sets.
+        let mut op_len = HashMap::new();
+        let mut arm = None;
+        for line in v.lines().map(str::trim) {
+            if let Some((sel, _)) = line.split_once(": begin // opt=") {
+                arm = Some(sel.split_once("'d").unwrap().1.parse::<u32>().unwrap());
+            } else if let (Some(a), Some(rest)) = (arm, line.strip_prefix("op_len = 6'd")) {
+                op_len.insert(a, rest.split(';').next().unwrap().parse::<u32>().unwrap());
+                arm = None;
+            }
+        }
+        assert_eq!(op_len.len(), spec.opsel.len(), "{}", w.name);
+        for op in program.ops() {
+            let (opt, opc) = op.opt_opcode();
+            let dense = spec.opsel.enc(opt as u32 * 32 + opc as u32);
+            assert_eq!(op_len[&dense], spec.op_bits(op), "{}: {op:?}", w.name);
+        }
+    }
+}
+
+#[test]
 fn emulator_agrees_across_encodings_by_construction() {
     // The compressed images decode to the very words the emulator runs;
     // spot-check by decoding one block of each scheme and disassembling.

@@ -116,20 +116,22 @@ fn operation() -> impl Strategy<Value = Operation> {
 }
 
 /// A structurally valid single-function program: blocks of single-op
-/// MOPs ending in a Halt.
+/// MOPs ending in a Halt. Body ops draw their speculative bit and guard
+/// predicate, so schemes see `spec` set and predicated ops.
 fn small_program() -> impl Strategy<Value = Program> {
-    prop::collection::vec(prop::collection::vec(body_kind(), 1..6), 1..12).prop_map(|blocks| {
+    let body_op = (any::<bool>(), pr(), body_kind());
+    prop::collection::vec(prop::collection::vec(body_op, 1..6), 1..12).prop_map(|blocks| {
         let mut ops = Vec::new();
         let mut infos = Vec::new();
         let nblocks = blocks.len();
-        for (bi, kinds) in blocks.into_iter().enumerate() {
+        for (bi, body) in blocks.into_iter().enumerate() {
             let first_op = ops.len();
-            let n = kinds.len();
-            for kind in kinds {
+            let n = body.len();
+            for (spec, pred, kind) in body {
                 ops.push(Operation {
                     tail: true,
-                    spec: false,
-                    pred: Pr::P0,
+                    spec,
+                    pred,
                     kind,
                 });
             }
