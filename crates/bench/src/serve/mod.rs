@@ -4,15 +4,19 @@
 //! long-lived workers, and serves warm artifacts straight from the
 //! engine's content-addressed cache.
 //!
-//! The perf core is three mechanisms:
+//! The perf core is one admission table, keyed by each request's
+//! [`proto::JobRequest::flight_text`] and held under one lock with the
+//! job queue and the drain flag:
 //!
-//! * **Response memo** — a bounded LRU of successful response bodies
-//!   by flight key ([`MEMO_BUDGET`] bytes, request texts included). A
-//!   repeated request is one lookup: no queue, no engine, no simulation.
-//! * **Single-flight coalescing** — concurrent requests with equal
-//!   [`proto::JobRequest::flight_text`]s share one builder; followers
-//!   block on the leader's [`FlightSlot`] and receive the identical
-//!   response bytes. A cold-key stampede runs exactly one build.
+//! * **Response memo** — a `Done` row holds a successful response body,
+//!   in a bounded LRU ([`MEMO_BUDGET`] bytes, request texts included).
+//!   A repeated request is one lookup: no queue, no engine, no
+//!   simulation.
+//! * **Single-flight coalescing** — a `Flight` row holds the
+//!   [`FlightSlot`] of the request being built; concurrent requests with
+//!   the same text block on it and receive the identical response
+//!   bytes. A cold-key stampede runs exactly one build. When the job
+//!   ends, its row becomes `Done` or, on failure, goes away.
 //! * **Bounded admission** — at most `queue_depth` jobs wait for a
 //!   worker; past that the daemon answers a typed `busy` error
 //!   immediately instead of queueing unboundedly. A worker takes the
@@ -29,8 +33,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -140,56 +143,104 @@ impl FlightSlot {
     }
 }
 
-/// A bounded LRU memo of successful response bodies by flight key. A
-/// response is a pure function of its request's flight text (coalesced
-/// followers already receive the leader's exact bytes), so a hit may
-/// skip the queue. Each entry keeps its request text, and a lookup whose
-/// text differs is a miss: flight keys are FNV, not collision-resistant.
-#[derive(Default)]
-struct ResponseMemo {
-    /// Request text, body and last-use stamp per key.
-    map: HashMap<u128, (Arc<str>, Arc<str>, u64)>,
-    /// Keys by last-use stamp, least recently used first.
-    lru: BTreeMap<u64, u128>,
-    clock: u64,
-    /// Request-text plus body bytes held.
-    bytes: usize,
+/// One request's row in the admission table.
+enum Entry {
+    /// Being built: followers wait on the leader's slot.
+    Flight(Arc<FlightSlot>),
+    /// Built: the memoized response body and its last-use stamp.
+    Done { body: Arc<str>, stamp: u64 },
 }
 
-impl ResponseMemo {
-    fn get(&mut self, key: u128, text: &str) -> Option<Arc<str>> {
-        let (stored, body, stamp) = self.map.get_mut(&key)?;
-        if **stored != *text {
-            return None;
+/// What admission decided for one request.
+enum Admitted {
+    /// The daemon is draining.
+    Draining,
+    /// A memo hit: the stored body.
+    Hit(Arc<str>),
+    /// Joined the flight already building this request.
+    Joined(Arc<FlightSlot>),
+    /// The queue is full.
+    Busy,
+    /// Claimed a new flight and queued its job; the queue's new length.
+    Queued(Arc<FlightSlot>, usize),
+}
+
+/// All admission state, behind one lock: the table of flights and
+/// memoized bodies keyed by flight text, the LRU order of the `Done`
+/// rows, the job queue and the drain flag. A response is a pure
+/// function of its request's flight text, so a `Done` row may answer
+/// without the queue. A row is a flight until its job completes, then
+/// a body or nothing, so a later request finds the flight or the body,
+/// never neither.
+#[derive(Default)]
+struct Admission {
+    table: HashMap<Arc<str>, Entry>,
+    /// `Done` texts by last-use stamp, least recently used first.
+    lru: BTreeMap<u64, Arc<str>>,
+    clock: u64,
+    /// Text plus body bytes over the `Done` rows.
+    bytes: usize,
+    queue: VecDeque<QueuedJob>,
+    draining: bool,
+}
+
+impl Admission {
+    /// Admission, in tier order: refuse while draining, answer from a
+    /// `Done` row (refreshing its use), join a flight, answer busy when
+    /// `depth` jobs already wait, or claim a flight and queue `req`.
+    fn admit(&mut self, req: JobRequest, text: String, depth: usize) -> Admitted {
+        if self.draining {
+            return Admitted::Draining;
         }
-        self.lru.remove(stamp);
-        self.clock += 1;
-        *stamp = self.clock;
-        self.lru.insert(self.clock, key);
-        Some(Arc::clone(body))
+        match self.table.get_mut(text.as_str()) {
+            Some(Entry::Done { body, stamp }) => {
+                let key = self.lru.remove(stamp).expect("lru and table agree");
+                self.clock += 1;
+                *stamp = self.clock;
+                self.lru.insert(self.clock, key);
+                Admitted::Hit(Arc::clone(body))
+            }
+            Some(Entry::Flight(slot)) => Admitted::Joined(Arc::clone(slot)),
+            None if self.queue.len() >= depth => Admitted::Busy,
+            None => {
+                let slot = FlightSlot::new();
+                let text: Arc<str> = text.into();
+                let flight = Entry::Flight(Arc::clone(&slot));
+                self.table.insert(Arc::clone(&text), flight);
+                self.queue.push_back(QueuedJob {
+                    req,
+                    text,
+                    slot: Arc::clone(&slot),
+                });
+                Admitted::Queued(slot, self.queue.len())
+            }
+        }
     }
 
-    /// Stores `body` for the request `text` under `key` (replacing any
-    /// entry there), then evicts least recently used entries until the
-    /// total fits [`MEMO_BUDGET`]; returns how many it evicted. An entry
-    /// larger than the whole budget is not stored.
-    fn insert(&mut self, key: u128, text: Arc<str>, body: Arc<str>) -> u64 {
-        let size = text.len() + body.len();
-        if size > MEMO_BUDGET {
+    /// Ends the flight for `text`: a `body` turns it into a `Done` row,
+    /// then least recently used rows are evicted until the total fits
+    /// [`MEMO_BUDGET`]; returns how many were evicted. A failure, or a
+    /// row larger than the whole budget, removes the flight instead.
+    fn complete(&mut self, text: &Arc<str>, body: Option<&Arc<str>>) -> u64 {
+        let Some(body) = body.filter(|b| text.len() + b.len() <= MEMO_BUDGET) else {
+            self.table.remove(&**text);
             return 0;
-        }
+        };
         self.clock += 1;
-        self.bytes += size;
-        if let Some((old_text, old, stamp)) = self.map.insert(key, (text, body, self.clock)) {
-            self.bytes -= old_text.len() + old.len();
-            self.lru.remove(&stamp);
-        }
-        self.lru.insert(self.clock, key);
+        self.bytes += text.len() + body.len();
+        let done = Entry::Done {
+            body: Arc::clone(body),
+            stamp: self.clock,
+        };
+        self.table.insert(Arc::clone(text), done);
+        self.lru.insert(self.clock, Arc::clone(text));
         let mut evicted = 0;
         while self.bytes > MEMO_BUDGET {
             let (_, oldest) = self.lru.pop_first().expect("over budget means non-empty");
-            let (text, old, _) = self.map.remove(&oldest).expect("lru and map agree");
-            self.bytes -= text.len() + old.len();
+            let Some(Entry::Done { body, .. }) = self.table.remove(&oldest) else {
+                unreachable!("the lru lists only Done rows");
+            };
+            self.bytes -= oldest.len() + body.len();
             evicted += 1;
         }
         evicted
@@ -199,24 +250,19 @@ impl ResponseMemo {
 /// One admitted job waiting for a worker.
 struct QueuedJob {
     req: JobRequest,
-    /// The request's flight text, memoized with the response.
+    /// The request's flight text: its row in the admission table.
     text: Arc<str>,
     slot: Arc<FlightSlot>,
-    key: u128,
 }
-
-/// A registered flight: its request's flight text and its slot.
-type Flight = (Arc<str>, Arc<FlightSlot>);
 
 /// State shared by the accept loop, connection handlers and workers.
 struct Shared {
     engine: Engine,
     registry: MetricsRegistry,
-    memo: Mutex<ResponseMemo>,
-    queue: Mutex<VecDeque<QueuedJob>>,
-    queue_cv: Condvar,
-    flights: Mutex<HashMap<u128, Flight>>,
-    draining: AtomicBool,
+    admission: Mutex<Admission>,
+    /// Wakes a worker when a job is queued, and all of them when the
+    /// drain begins.
+    work_cv: Condvar,
     cfg: ServeConfig,
     local_addr: SocketAddr,
 }
@@ -242,11 +288,8 @@ impl ServerHandle {
         let shared = Arc::new(Shared {
             engine,
             registry: MetricsRegistry::new(),
-            memo: Mutex::default(),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            flights: Mutex::new(HashMap::new()),
-            draining: AtomicBool::new(false),
+            admission: Mutex::default(),
+            work_cv: Condvar::new(),
             cfg,
             local_addr,
         });
@@ -305,16 +348,15 @@ impl ServerHandle {
 }
 
 impl Shared {
+    fn admission(&self) -> MutexGuard<'_, Admission> {
+        self.admission.lock().expect("admission poisoned")
+    }
+
     fn begin_drain(&self) {
-        {
-            // Under the queue lock so the draining flag and the queue
-            // contents change atomically with respect to admission and
-            // the workers' exit check — no job can be admitted after
-            // drain starts yet never run.
-            let _q = self.queue.lock().expect("queue poisoned");
-            self.draining.store(true, Ordering::SeqCst);
-        }
-        self.queue_cv.notify_all();
+        // Under the admission lock, so no job is admitted after the
+        // drain starts and then never run.
+        self.admission().draining = true;
+        self.work_cv.notify_all();
         if let Some(gate) = &self.cfg.gate {
             gate.open();
         }
@@ -323,7 +365,7 @@ impl Shared {
     }
 
     fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
+        self.admission().draining
     }
 
     /// Sets the gauges that mirror state rather than count events:
@@ -332,12 +374,11 @@ impl Shared {
     /// double-count.
     fn refresh_gauges(&self) {
         let snap = self.engine.snapshot();
-        let (memo_bytes, memo_entries) = {
-            let memo = self.memo.lock().expect("memo poisoned");
-            (memo.bytes, memo.map.len())
+        let (memo_bytes, memo_entries, queue_len, flights) = {
+            let adm = self.admission();
+            let done = adm.lru.len();
+            (adm.bytes, done, adm.queue.len(), adm.table.len() - done)
         };
-        let queue_len = self.queue.lock().expect("queue poisoned").len();
-        let flights = self.flights.lock().expect("flights poisoned").len();
         for (name, v) in [
             ("serve.engine.program_hits", snap.program_hits),
             ("serve.engine.program_misses", snap.program_misses),
@@ -393,22 +434,22 @@ fn worker_loop(shared: &Shared) {
 
 /// The oldest queued job, or `None` once draining with nothing queued.
 fn next_job(shared: &Shared) -> Option<QueuedJob> {
-    let mut q = shared.queue.lock().expect("queue poisoned");
+    let mut adm = shared.admission();
     loop {
-        if let Some(job) = q.pop_front() {
+        if let Some(job) = adm.queue.pop_front() {
             return Some(job);
         }
-        if shared.draining() {
+        if adm.draining {
             return None;
         }
-        q = shared.queue_cv.wait(q).expect("queue poisoned");
+        adm = shared.work_cv.wait(adm).expect("admission poisoned");
     }
 }
 
 fn run_job(shared: &Shared, job: QueuedJob) {
     shared.registry.counter("serve.jobs_executed").inc();
-    // A panicking job must still deregister its flight and fill its
-    // slot, or every coalesced waiter would hang on it.
+    // A panicking job must still end its flight and fill its slot, or
+    // every coalesced waiter would hang on it.
     let result = catch_unwind(AssertUnwindSafe(|| {
         shared.engine.pool_job_admission();
         execute_job(shared, &job.req)
@@ -418,27 +459,9 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         Err(WireError::new(ErrKind::Internal, msg))
     })
     .map(Arc::<str>::from);
-    // Memoize (never an error), then deregister the flight, then fill
-    // the slot. Admission reads the memo under the flights lock, so a
-    // later request finds the flight or the memo entry, never neither.
-    if let Ok(body) = &result {
-        let evicted = shared.memo.lock().expect("memo poisoned").insert(
-            job.key,
-            Arc::clone(&job.text),
-            Arc::clone(body),
-        );
+    let evicted = shared.admission().complete(&job.text, result.as_ref().ok());
+    if result.is_ok() {
         shared.registry.counter("serve.memo_evictions").add(evicted);
-    }
-    {
-        let mut flights = shared.flights.lock().expect("flights poisoned");
-        // A job whose key collided with another request's flight ran
-        // unregistered; that flight stays.
-        if flights
-            .get(&job.key)
-            .is_some_and(|(_, slot)| Arc::ptr_eq(slot, &job.slot))
-        {
-            flights.remove(&job.key);
-        }
     }
     job.slot.fill(result);
 }
@@ -525,68 +548,42 @@ const LATENCY_BOUNDS: [u64; 12] = [
     4_294_967_000,
 ];
 
-/// Admission, in tier order: refuse while draining (`draining`), answer
-/// from the response memo, join an existing flight (coalesced), or
-/// claim the flight and enqueue — unless the queue is full (`busy`).
-/// Memo and flight hits must match the request's flight text, not only
-/// its key; a request whose key collides with another's flight runs as
-/// its own, unregistered flight. Blocks until the flight's result is
-/// filled.
+/// Admits one job request (see [`Admission::admit`]) and blocks until
+/// its flight's result is filled.
 fn admit_job(shared: &Arc<Shared>, req: JobRequest) -> Result<Arc<str>, WireError> {
     if req.op != JobOp::Compile && scheme_by_name(&req.scheme).is_none() {
         let msg = format!("unknown scheme {:?}", req.scheme);
         return Err(WireError::new(ErrKind::UnknownScheme, msg));
     }
-    if shared.draining() {
-        return Err(draining_error(shared));
-    }
     let text = req.flight_text();
-    let key = proto::flight_key_of(&text);
-    let slot = {
-        let mut flights = shared.flights.lock().expect("flights poisoned");
-        if let Some(body) = shared.memo.lock().expect("memo poisoned").get(key, &text) {
-            shared.registry.counter("serve.memo_hits").inc();
+    let depth = shared.cfg.queue_depth;
+    let admitted = shared.admission().admit(req, text, depth);
+    let counter = |name: &str| shared.registry.counter(name).inc();
+    let slot = match admitted {
+        Admitted::Draining => return Err(draining_error(shared)),
+        Admitted::Hit(body) => {
+            counter("serve.memo_hits");
             return Ok(body);
         }
-        shared.registry.counter("serve.memo_misses").inc();
-        match flights.get(&key) {
-            Some((leader, slot)) if **leader == *text => {
-                shared.registry.counter("serve.coalesced_waits").inc();
-                Arc::clone(slot)
-            }
-            taken => {
-                let register = taken.is_none();
-                let mut q = shared.queue.lock().expect("queue poisoned");
-                // Checked again under the queue lock: a drain that began
-                // since the check above must not strand an enqueued job.
-                if shared.draining() {
-                    return Err(draining_error(shared));
-                }
-                if q.len() >= shared.cfg.queue_depth {
-                    shared.registry.counter("serve.busy_rejections").inc();
-                    return Err(WireError::new(
-                        ErrKind::Busy,
-                        format!("admission queue full ({} jobs)", q.len()),
-                    ));
-                }
-                let slot = FlightSlot::new();
-                let text: Arc<str> = text.into();
-                if register {
-                    flights.insert(key, (Arc::clone(&text), Arc::clone(&slot)));
-                }
-                q.push_back(QueuedJob {
-                    req,
-                    text,
-                    slot: Arc::clone(&slot),
-                    key,
-                });
-                shared
-                    .registry
-                    .histogram("serve.queue_depth", &QUEUE_BOUNDS)
-                    .observe(q.len() as u64);
-                shared.queue_cv.notify_one();
-                slot
-            }
+        Admitted::Joined(slot) => {
+            counter("serve.memo_misses");
+            counter("serve.coalesced_waits");
+            slot
+        }
+        Admitted::Busy => {
+            counter("serve.memo_misses");
+            counter("serve.busy_rejections");
+            let msg = format!("admission queue full ({depth} jobs)");
+            return Err(WireError::new(ErrKind::Busy, msg));
+        }
+        Admitted::Queued(slot, len) => {
+            shared.work_cv.notify_one();
+            counter("serve.memo_misses");
+            shared
+                .registry
+                .histogram("serve.queue_depth", &QUEUE_BOUNDS)
+                .observe(len as u64);
+            slot
         }
     };
     slot.wait()
@@ -700,20 +697,115 @@ fn render_sim(req: &JobRequest, result: &FetchResult, dstats: &DecodeStats) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn a_memo_entry_answers_only_its_own_request() {
-        // Two requests forced under one key, as an FNV collision would.
-        let a: Arc<str> = r#"{"op":"compile","name":"a"}"#.into();
-        let b: Arc<str> = r#"{"op":"compile","name":"b"}"#.into();
-        let mut memo = ResponseMemo::default();
-        memo.insert(7, Arc::clone(&a), "body-a".into());
-        assert_eq!(memo.get(7, &a).as_deref(), Some("body-a"));
-        assert_eq!(memo.get(7, &b), None, "b must not get a's body");
-        memo.insert(7, Arc::clone(&b), "body-b".into());
-        assert_eq!(memo.get(7, &a), None, "a must not get b's body");
-        assert_eq!(memo.get(7, &b).as_deref(), Some("body-b"));
-        assert_eq!(memo.map.len(), 1);
-        assert_eq!(memo.bytes, b.len() + "body-b".len(), "texts count");
+    /// Most jobs the model test lets wait at once.
+    const DEPTH: usize = 3;
+
+    fn dummy_job() -> JobRequest {
+        JobRequest {
+            op: JobOp::Compile,
+            name: String::new(),
+            scheme: String::new(),
+            seed: 0,
+            source: String::new(),
+        }
+    }
+
+    /// The naive model of [`Admission`]: flights, and `Done` rows as
+    /// `(text, body bytes)` with the least recently used first.
+    #[derive(Default)]
+    struct Model {
+        flights: Vec<usize>,
+        done: Vec<(usize, usize)>,
+    }
+
+    impl Model {
+        fn bytes(&self, texts: &[String]) -> usize {
+            self.done.iter().map(|&(t, b)| texts[t].len() + b).sum()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random admits and completions over five texts, with bodies
+        /// near a quarter of the budget (or at its very edge), agree
+        /// step by step with the naive model.
+        #[test]
+        fn admission_matches_a_naive_model(
+            ops in prop::collection::vec(
+                (0u8..5, 0usize..5, MEMO_BUDGET / 5..MEMO_BUDGET / 3, 0usize..8),
+                1..48usize,
+            )
+        ) {
+            let texts: Vec<String> = (0..5).map(|i| format!("text-{i}")).collect();
+            let mut adm = Admission::default();
+            let mut model = Model::default();
+            for (kind, t, size, pick) in ops {
+                if kind < 2 {
+                    let got = adm.admit(dummy_job(), texts[t].clone(), DEPTH);
+                    if let Some(i) = model.done.iter().position(|&(d, _)| d == t) {
+                        // A hit is a use: it moves to the back of the LRU.
+                        let row = model.done.remove(i);
+                        model.done.push(row);
+                        let Admitted::Hit(body) = got else {
+                            return Err(TestCaseError::fail("expected a memo hit"));
+                        };
+                        prop_assert_eq!(body.len(), row.1);
+                    } else if model.flights.contains(&t) {
+                        prop_assert!(matches!(got, Admitted::Joined(_)), "expected a join");
+                    } else if model.flights.len() >= DEPTH {
+                        prop_assert!(matches!(got, Admitted::Busy), "expected busy");
+                    } else {
+                        model.flights.push(t);
+                        let queued = matches!(got, Admitted::Queued(_, n) if n == model.flights.len());
+                        prop_assert!(queued, "expected a queued flight");
+                    }
+                } else if !adm.queue.is_empty() {
+                    let job = adm.queue.remove(pick % adm.queue.len()).expect("in range");
+                    let t = texts.iter().position(|x| **x == *job.text).expect("known text");
+                    // Kind 4 sizes the row to the whole budget, or one byte over.
+                    let size = if kind == 4 { MEMO_BUDGET - texts[t].len() + pick % 2 } else { size };
+                    let body: Option<Arc<str>> = (kind != 3).then(|| "b".repeat(size).into());
+                    let evicted = adm.complete(&job.text, body.as_ref());
+                    model.flights.retain(|&f| f != t);
+                    let mut model_evicted = 0;
+                    if body.is_some() && texts[t].len() + size <= MEMO_BUDGET {
+                        model.done.push((t, size));
+                        while model.bytes(&texts) > MEMO_BUDGET {
+                            model.done.remove(0);
+                            model_evicted += 1;
+                        }
+                    } else {
+                        prop_assert!(!adm.table.contains_key(&*job.text), "a failed row is gone");
+                    }
+                    prop_assert_eq!(evicted, model_evicted);
+                    prop_assert!(adm.bytes <= MEMO_BUDGET, "over budget: {}", adm.bytes);
+                }
+
+                let held: usize = adm
+                    .table
+                    .iter()
+                    .filter_map(|(text, e)| match e {
+                        Entry::Done { body, .. } => Some(text.len() + body.len()),
+                        Entry::Flight(_) => None,
+                    })
+                    .sum();
+                prop_assert_eq!(adm.bytes, held);
+                prop_assert_eq!(adm.bytes, model.bytes(&texts));
+                let lru: Vec<&str> = adm.lru.values().map(|t| &**t).collect();
+                let want: Vec<&str> = model.done.iter().map(|&(t, _)| texts[t].as_str()).collect();
+                prop_assert_eq!(lru, want);
+                for &f in &model.flights {
+                    let flying = matches!(adm.table.get(texts[f].as_str()), Some(Entry::Flight(_)));
+                    prop_assert!(flying, "flight {} was evicted", f);
+                }
+                // The three gauges refresh_gauges reads.
+                prop_assert_eq!(adm.lru.len(), model.done.len());
+                prop_assert_eq!(adm.table.len() - adm.lru.len(), model.flights.len());
+                prop_assert_eq!(adm.queue.len(), model.flights.len());
+            }
+        }
     }
 }

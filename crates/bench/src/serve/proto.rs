@@ -15,7 +15,6 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 use ccc_telemetry::{json, parse_json, JsonValue};
-use tepic_isa::wire::Fnv128;
 
 /// Hard ceiling on a frame's payload length. Large enough for any
 /// generated source plus an encoded image in hex; small enough that a
@@ -171,8 +170,9 @@ impl JobRequest {
     /// `simulate`/`faultsim` keep both because their responses echo the
     /// seed. Every free-text field is length-prefixed, so requests with
     /// equal texts have equal fields and produce byte-identical
-    /// responses. It is built by copying, not escaping, because every
-    /// request (memo hits too) builds it.
+    /// responses, which is why the daemon's admission table is keyed by
+    /// it. It is built by copying, not escaping, because every request
+    /// (memo hits too) builds it.
     pub fn flight_text(&self) -> String {
         let (scheme, seed) = match self.op {
             JobOp::Compile => ("", 0),
@@ -189,19 +189,6 @@ impl JobRequest {
             self.source,
         )
     }
-
-    /// The single-flight key: [`flight_key_of`] the
-    /// [`JobRequest::flight_text`].
-    pub fn flight_key(&self) -> u128 {
-        flight_key_of(&self.flight_text())
-    }
-}
-
-/// The 128-bit FNV hash of a flight text. FNV is not collision-resistant,
-/// so equal keys only suggest equal requests: the daemon compares the
-/// texts before it shares a flight or a memoized response.
-pub fn flight_key_of(text: &str) -> u128 {
-    Fnv128::new().update(text.as_bytes()).finish()
 }
 
 /// One parsed request frame.
@@ -486,31 +473,31 @@ mod tests {
     }
 
     #[test]
-    fn flight_key_separates_ops_and_ignores_irrelevant_fields() {
+    fn flight_text_separates_ops_and_ignores_irrelevant_fields() {
         let base = job(JobOp::Compile);
         let mut other_scheme = base.clone();
         other_scheme.scheme = "byte".into();
         // compile ignores scheme and seed...
-        assert_eq!(base.flight_key(), other_scheme.flight_key());
+        assert_eq!(base.flight_text(), other_scheme.flight_text());
         // ...encode does not ignore scheme...
         let mut enc = base.clone();
         enc.op = JobOp::Encode;
         let mut enc_byte = other_scheme.clone();
         enc_byte.op = JobOp::Encode;
-        assert_ne!(enc.flight_key(), enc_byte.flight_key());
+        assert_ne!(enc.flight_text(), enc_byte.flight_text());
         // ...encode ignores seed...
         let mut enc_seed = enc.clone();
         enc_seed.seed = 8;
-        assert_eq!(enc.flight_key(), enc_seed.flight_key());
-        // ...and simulate and faultsim hash it (both responses echo it).
+        assert_eq!(enc.flight_text(), enc_seed.flight_text());
+        // ...and simulate and faultsim keep it (both responses echo it).
         let mut sim_a = base.clone();
         sim_a.op = JobOp::Simulate;
         let mut sim_b = sim_a.clone();
         sim_b.seed = 8;
-        assert_ne!(sim_a.flight_key(), sim_b.flight_key());
+        assert_ne!(sim_a.flight_text(), sim_b.flight_text());
         sim_a.op = JobOp::Faultsim;
         sim_b.op = JobOp::Faultsim;
-        assert_ne!(sim_a.flight_key(), sim_b.flight_key());
+        assert_ne!(sim_a.flight_text(), sim_b.flight_text());
         // Length prefixes keep field boundaries: text moved from one
         // field to the next is a different request.
         let mut ab_c = base.clone();
@@ -518,7 +505,7 @@ mod tests {
         let mut a_bc = base.clone();
         (a_bc.name, a_bc.source) = ("a".into(), "bc".into());
         assert_ne!(ab_c.flight_text(), a_bc.flight_text());
-        // Distinct ops never share a key.
+        // Distinct ops never share a text.
         let ops = [
             JobOp::Compile,
             JobOp::Encode,
@@ -532,7 +519,7 @@ mod tests {
                     ja.op = a;
                     let mut jb = base.clone();
                     jb.op = b;
-                    assert_ne!(ja.flight_key(), jb.flight_key(), "{a:?} vs {b:?}");
+                    assert_ne!(ja.flight_text(), jb.flight_text(), "{a:?} vs {b:?}");
                 }
             }
         }

@@ -16,23 +16,15 @@
 //!   arrive from memory.
 //!
 //! All three are table-less bitwise implementations: this models ROM
-//! checker *hardware*, where a 32-entry XOR tree is the natural shape,
-//! and keeps the crate dependency-free.
+//! checker *hardware*, where a 32-entry XOR tree is the natural shape.
+//! The CRC32 loop lives in `ccc_telemetry::ledger`, which also seals
+//! ledger records with it.
 
 use std::fmt;
 
-/// CRC32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+/// CRC32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`): the run
+/// ledger's implementation, shared so the workspace has one.
+pub use ccc_telemetry::ledger::crc32;
 
 /// CRC-8 (polynomial `0x07`, MSB-first, zero init) — the ATT entry
 /// self-check. Detects all single-bit errors and every burst up to 8

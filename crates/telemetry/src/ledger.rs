@@ -40,9 +40,9 @@ pub const LEDGER_SCHEMA_VERSION: u64 = 1;
 /// Default ledger path, relative to the repo root.
 pub const DEFAULT_LEDGER_PATH: &str = "results/history/ledger.jsonl";
 
-/// IEEE CRC-32 (same polynomial as `ccc_core::integrity::crc32`,
-/// reimplemented here because the dependency arrow points the other
-/// way: ccc-core depends on this crate).
+/// IEEE CRC-32 (reflected, init/xorout `0xFFFF_FFFF`). The workspace's
+/// only implementation: ccc-core re-exports it as
+/// `ccc_core::integrity::crc32` for its ROM-image checks.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {

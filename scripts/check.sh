@@ -124,12 +124,14 @@ fi
 echo "injected 2x slowdown caught (non-zero exit)"
 # --attr writes results/PERF_attr.txt relative to its working
 # directory; run it from the scratch directory so the committed copy
-# stays as it is.
+# stays as it is, and keep the report in target/tmp/PERF_attr.txt
+# (uploaded by CI).
 (cd "$CCC_PERF_DIR" && CCC_NO_LEDGER=1 "$REPO/target/release/tepic-cc" perf --attr >/dev/null)
 [ -s "$CCC_PERF_DIR/results/PERF_attr.txt" ] || {
     echo "missing $CCC_PERF_DIR/results/PERF_attr.txt" >&2
     exit 1
 }
+cp "$CCC_PERF_DIR/results/PERF_attr.txt" target/tmp/PERF_attr.txt
 rm -rf "$CCC_PERF_DIR"
 echo "span attribution reconciles with the engine stage timers"
 else

@@ -5,24 +5,10 @@
 //! workloads are synthetic stand-ins; see DESIGN.md §4 and
 //! EXPERIMENTS.md for measured-vs-paper values).
 
+use tepic_ccc::bench::{mean, median};
 use tepic_ccc::ccc::schemes::{standard_schemes, Scheme};
 use tepic_ccc::ccc::{AddressTranslationTable, CompressionReport};
 use tepic_ccc::prelude::*;
-
-fn mean(v: &[f64]) -> f64 {
-    v.iter().sum::<f64>() / v.len() as f64
-}
-
-fn median(v: &[f64]) -> f64 {
-    let mut s = v.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = s.len();
-    if n % 2 == 1 {
-        s[n / 2]
-    } else {
-        (s[n / 2 - 1] + s[n / 2]) / 2.0
-    }
-}
 
 fn reports() -> Vec<CompressionReport> {
     workloads::ALL

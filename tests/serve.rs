@@ -362,6 +362,11 @@ fn a_panicking_job_answers_internal_and_never_hangs_the_daemon() {
     let again = roundtrip(&mut c, &req);
     assert_eq!(error_kind(&again).as_deref(), Some("internal"));
     assert_eq!(server.registry().counter("serve.jobs_executed").get(), 2);
+    // A failed flight leaves nothing behind: no flight, no memo entry.
+    let addr = server.local_addr();
+    for name in ["serve.flights", "serve.memo_entries", "serve.memo_bytes"] {
+        assert_eq!(gauge(addr, name), Some(0.0), "{name}");
+    }
 
     let pong = roundtrip(&mut c, &Request::Ping);
     assert!(String::from_utf8_lossy(&pong).contains("pong"));
