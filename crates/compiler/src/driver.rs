@@ -9,6 +9,7 @@ use crate::opt::optimize_module;
 use crate::regalloc::{allocate, RegAllocError};
 use crate::sched::schedule_function;
 use std::fmt;
+use std::time::{Duration, Instant};
 use tepic_isa::Program;
 use tinker_ir::{Module, VerifyError};
 
@@ -80,6 +81,48 @@ impl From<LowerError> for CompileError {
     }
 }
 
+/// Wall time spent in each stage of one compilation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageTimes {
+    /// Tink source → AST.
+    pub parse: Duration,
+    /// AST → IR.
+    pub lower: Duration,
+    /// IR verification and optimization (tail duplication included).
+    pub opt: Duration,
+    /// IR → machine functions, data layout and constant pool.
+    pub machine: Duration,
+    /// Register allocation, summed over functions.
+    pub regalloc: Duration,
+    /// MultiOp scheduling, summed over functions.
+    pub sched: Duration,
+    /// Data image and final assembly.
+    pub emit: Duration,
+}
+
+impl StageTimes {
+    /// Every stage as `(name, time)`, in pipeline order.
+    pub fn stages(&self) -> [(&'static str, Duration); 7] {
+        [
+            ("parse", self.parse),
+            ("lower", self.lower),
+            ("opt", self.opt),
+            ("machine", self.machine),
+            ("regalloc", self.regalloc),
+            ("sched", self.sched),
+            ("emit", self.emit),
+        ]
+    }
+}
+
+/// Runs `f`, adding its wall time to `slot`.
+fn timed<T>(slot: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let value = f();
+    *slot += start.elapsed();
+    value
+}
+
 /// Compiles Tink source text into an executable TEPIC program.
 ///
 /// # Errors
@@ -94,9 +137,20 @@ impl From<LowerError> for CompileError {
 /// assert!(p.num_ops() > 0);
 /// ```
 pub fn compile(src: &str, opts: &Options) -> Result<Program, CompileError> {
-    let ast = parse(src)?;
-    let module = lower_program(&ast)?;
-    compile_module(module, opts)
+    compile_timed(src, opts).map(|(program, _)| program)
+}
+
+/// [`compile`], also returning how long each stage took.
+///
+/// # Errors
+///
+/// As [`compile`].
+pub fn compile_timed(src: &str, opts: &Options) -> Result<(Program, StageTimes), CompileError> {
+    let mut times = StageTimes::default();
+    let ast = timed(&mut times.parse, || parse(src))?;
+    let module = timed(&mut times.lower, || lower_program(&ast))?;
+    let program = build(module, opts, &mut times)?;
+    Ok((program, times))
 }
 
 /// Compiles a prebuilt IR module (the entry point for programmatic IR
@@ -105,44 +159,61 @@ pub fn compile(src: &str, opts: &Options) -> Result<Program, CompileError> {
 /// # Errors
 ///
 /// As [`compile`], minus parsing.
-pub fn compile_module(mut module: Module, opts: &Options) -> Result<Program, CompileError> {
-    module.verify().map_err(CompileError::Verify)?;
-    if opts.optimize {
-        optimize_module(&mut module, opts.opt_iters);
-        module.verify().map_err(CompileError::Verify)?;
-    }
-    if let Some(max_insts) = opts.tail_duplicate {
-        for f in module.funcs_mut() {
-            crate::opt::taildup::run(f, max_insts);
-        }
-        // Clean up now-unreachable originals and re-verify.
-        optimize_module(&mut module, 2);
-        module.verify().map_err(CompileError::Verify)?;
-    }
+pub fn compile_module(module: Module, opts: &Options) -> Result<Program, CompileError> {
+    build(module, opts, &mut StageTimes::default())
+}
 
-    let mut layout = DataLayout::new(&module, opts.data_base);
-    let mut pool = ConstPool::default();
-    let mut machined = Vec::with_capacity(module.funcs().len());
-    for f in module.funcs() {
-        let order = layout_order(f);
-        let mf = lower_function(&module, f, &order, &layout, &mut pool);
-        machined.push(mf);
-    }
-    layout.seal_pool(pool.len());
+/// The pipeline from a lowered module on, timing each stage into `times`.
+fn build(
+    mut module: Module,
+    opts: &Options,
+    times: &mut StageTimes,
+) -> Result<Program, CompileError> {
+    timed(&mut times.opt, || {
+        module.verify().map_err(CompileError::Verify)?;
+        if opts.optimize {
+            optimize_module(&mut module, opts.opt_iters);
+            module.verify().map_err(CompileError::Verify)?;
+        }
+        if let Some(max_insts) = opts.tail_duplicate {
+            for f in module.funcs_mut() {
+                crate::opt::taildup::run(f, max_insts);
+            }
+            // Clean up now-unreachable originals and re-verify.
+            optimize_module(&mut module, 2);
+            module.verify().map_err(CompileError::Verify)?;
+        }
+        Ok::<(), CompileError>(())
+    })?;
+
+    let (layout, pool, machined) = timed(&mut times.machine, || {
+        let mut layout = DataLayout::new(&module, opts.data_base);
+        let mut pool = ConstPool::default();
+        let mut machined = Vec::with_capacity(module.funcs().len());
+        for f in module.funcs() {
+            let order = layout_order(f);
+            let mf = lower_function(&module, f, &order, &layout, &mut pool);
+            machined.push(mf);
+        }
+        layout.seal_pool(pool.len());
+        (layout, pool, machined)
+    });
 
     let mut scheduled = Vec::with_capacity(machined.len());
     for mut mf in machined {
-        allocate(&mut mf).map_err(CompileError::RegAlloc)?;
-        let s = schedule_function(&mf);
+        timed(&mut times.regalloc, || allocate(&mut mf)).map_err(CompileError::RegAlloc)?;
+        let s = timed(&mut times.sched, || schedule_function(&mf));
         scheduled.push((mf, s));
     }
 
-    let main_index = module
-        .func_by_name("main")
-        .map(|(id, _)| id.0 as usize)
-        .ok_or(CompileError::Emit(EmitError::NoMain))?;
-    let data = layout.initial_bytes(&module, &pool);
-    emit_program(&scheduled, main_index, data, opts.data_base).map_err(CompileError::Emit)
+    timed(&mut times.emit, || {
+        let main_index = module
+            .func_by_name("main")
+            .map(|(id, _)| id.0 as usize)
+            .ok_or(CompileError::Emit(EmitError::NoMain))?;
+        let data = layout.initial_bytes(&module, &pool);
+        emit_program(&scheduled, main_index, data, opts.data_base).map_err(CompileError::Emit)
+    })
 }
 
 #[cfg(test)]

@@ -42,4 +42,4 @@ pub mod regalloc;
 pub mod sched;
 pub mod treegion;
 
-pub use driver::{compile, compile_module, CompileError, Options};
+pub use driver::{compile, compile_module, compile_timed, CompileError, Options, StageTimes};

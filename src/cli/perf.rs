@@ -292,6 +292,18 @@ fn attr(args: &EngineArgs, env: Env) -> Result<(), String> {
         }
     }
 
+    // lego's stages are children of each compile span, laid end to end:
+    // they may leave a gap but never add up to more than the compile.
+    for c in forest.nodes().iter().filter(|n| n.name == "compile") {
+        let stages: u64 = forest.children_of(c.id).map(|k| k.dur_ns).sum();
+        if stages > c.dur_ns {
+            return Err(format!(
+                "compile {}: stage spans sum to {stages} ns > {} ns",
+                c.detail, c.dur_ns
+            ));
+        }
+    }
+
     let ms = |ns: u64| ns as f64 / 1e6;
     let mut text = String::new();
     let _ = writeln!(
@@ -305,7 +317,8 @@ fn attr(args: &EngineArgs, env: Env) -> Result<(), String> {
     }
     let _ = writeln!(
         text,
-        "\nper-stage rollup (reconciles exactly with the engine timers):"
+        "\nper-stage rollup (compile, emulate, encode and report reconcile exactly with \
+         the engine timers; lego's stages sum to at most compile):"
     );
     for (stage, r) in &roll {
         let _ = writeln!(
