@@ -7,6 +7,7 @@ use ccc_core::schemes::{
     base::encode_base, byte::ByteScheme, full::FullScheme, stream::StreamScheme,
     tailored::TailoredScheme, Scheme,
 };
+use ccc_workgen::servemix::{request_mix, MixParams};
 use criterion::{criterion_group, criterion_main, Criterion};
 use ifetch_sim::{simulate, FetchConfig};
 use std::hint::black_box;
@@ -27,6 +28,21 @@ fn bench_compile(c: &mut Criterion) {
             b.iter(|| black_box(lego::compile(w.source(), &lego::Options::default()).unwrap()))
         });
     }
+    // The cold programs of a seed-42 serve mix: what each cold request
+    // to the daemon compiles first.
+    let cold: Vec<String> = request_mix(42, 64, &MixParams::default())
+        .into_iter()
+        .filter(|r| !r.hot)
+        .take(8)
+        .map(|r| r.source)
+        .collect();
+    g.bench_function("servemix", |b| {
+        b.iter(|| {
+            for source in &cold {
+                black_box(lego::compile(source, &lego::Options::default()).unwrap());
+            }
+        })
+    });
     g.finish();
 }
 

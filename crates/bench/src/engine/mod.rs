@@ -67,6 +67,10 @@ use tepic_isa::{Program, PROGRAM_WIRE_VERSION};
 use tinker_workloads::{Workload, WorkloadError};
 use yula::{BlockTrace, Emulator, Limits, TRACE_WIRE_VERSION};
 
+/// A timed part of a cold build, `(name, time, its own parts)`, laid out
+/// as a child span of the build's stage span.
+type SubStage = (&'static str, Duration, Vec<(&'static str, Duration)>);
+
 /// Version of the engine's key derivation itself plus everything the
 /// wire versions do *not* capture (compiler and emulator behaviour).
 /// Bump to invalidate every artifact at once.
@@ -743,14 +747,15 @@ impl Engine {
     /// The shared cached-artifact path: probe (with retry and
     /// quarantine), decode, else build (behind the stage failpoint),
     /// store (with retry). A build may push its own sub-stages, in order,
-    /// which become child spans of its stage span.
+    /// which become child spans of its stage span; a sub-stage's parts
+    /// become child spans of the sub-stage's.
     fn cached<T>(
         &self,
         kind: Kind,
         key: &CacheKey,
         decode: impl Fn(&[u8]) -> Result<T, WireError>,
         encode: impl Fn(&T) -> Vec<u8>,
-        build: impl FnOnce(&mut Vec<(&'static str, Duration)>) -> Result<T, PrepareError>,
+        build: impl FnOnce(&mut Vec<SubStage>) -> Result<T, PrepareError>,
     ) -> Result<T, PrepareError> {
         if let Some(cache) = &self.cache {
             let probe_start = self.span_start();
@@ -798,27 +803,49 @@ impl Engine {
                 dur_ns: dur,
             });
             // Sub-stages run one after another inside the build, so they
-            // are laid end to end from its start. They were timed on the
-            // host's clock; clamping them to the stage's window keeps
-            // them nested under any engine clock.
-            let mut at = 0;
-            for (name, took) in sub_stages {
-                let took = (took.as_nanos() as u64).min(dur - at);
-                sink.record(TraceEvent::Span {
-                    name,
-                    detail: key.label.clone(),
-                    id: self.next_span_id(),
-                    parent: id,
-                    start_ns: start + at,
-                    dur_ns: took,
-                });
-                at += took;
+            // are laid end to end from its start, and their parts from
+            // theirs. They were timed on the host's clock; clamping each
+            // to its parent's window keeps them nested under any engine
+            // clock.
+            let stages = sub_stages.iter().map(|&(name, took, _)| (name, took));
+            let windows = self.record_laid_out(sink, &key.label, (id, start, dur), stages);
+            for (window, (_, _, parts)) in windows.into_iter().zip(sub_stages) {
+                self.record_laid_out(sink, &key.label, window, parts);
             }
         }
         if let Some(cache) = &self.cache {
             self.store_with_retry(cache, key, &encode(&value));
         }
         Ok(value)
+    }
+
+    /// Records `parts` as child spans of the span `(id, start, dur)`,
+    /// laid end to end from its start and clamped to its window; returns
+    /// each child's `(id, start, dur)`.
+    fn record_laid_out(
+        &self,
+        sink: &SharedSink,
+        detail: &str,
+        (parent, start, dur): (u64, u64, u64),
+        parts: impl IntoIterator<Item = (&'static str, Duration)>,
+    ) -> Vec<(u64, u64, u64)> {
+        let mut at = 0;
+        let mut windows = Vec::new();
+        for (name, took) in parts {
+            let took = (took.as_nanos() as u64).min(dur - at);
+            let id = self.next_span_id();
+            sink.record(TraceEvent::Span {
+                name,
+                detail: detail.to_string(),
+                id,
+                parent,
+                start_ns: start + at,
+                dur_ns: took,
+            });
+            windows.push((id, start + at, took));
+            at += took;
+        }
+        windows
     }
 
     fn key(&self, kind: Kind, label: String, parts: &dyn Fn(&mut Fnv128)) -> CacheKey {
@@ -858,7 +885,8 @@ impl Engine {
             |sub_stages| {
                 let (program, times) = lego::compile_timed(source, opts)
                     .map_err(|e| PrepareError::Workload(WorkloadError::Compile(e)))?;
-                sub_stages.extend(times.stages());
+                let stages = times.stages().into_iter();
+                sub_stages.extend(stages.map(|(name, took)| (name, took, times.parts_of(name))));
                 Ok(program)
             },
         )
@@ -1603,6 +1631,28 @@ mod tests {
         }
         assert_eq!(compiles, 2, "one compile per workload");
         for (name, _) in lego::StageTimes::default().stages() {
+            assert_eq!(roll[name].count, 2, "{name}: one span per compile");
+        }
+
+        // Each opt span holds the optimizer's passes, in pipeline order,
+        // end to end inside it.
+        let pass_names: Vec<_> = lego::opt::PassTimes::default()
+            .passes()
+            .iter()
+            .map(|&(name, _)| name)
+            .collect();
+        for o in forest.nodes().iter().filter(|n| n.name == "opt") {
+            let kids: Vec<_> = forest.children_of(o.id).collect();
+            let names: Vec<_> = kids.iter().map(|k| k.name).collect();
+            assert_eq!(names, pass_names, "opt {}", o.detail);
+            let mut at = o.start_ns;
+            for k in &kids {
+                assert_eq!(k.start_ns, at, "{} {}", k.name, k.detail);
+                at = k.end_ns();
+            }
+            assert!(at <= o.end_ns(), "opt {}: passes overrun it", o.detail);
+        }
+        for name in pass_names {
             assert_eq!(roll[name].count, 2, "{name}: one span per compile");
         }
 

@@ -5,7 +5,7 @@ use crate::emit::{emit_program, EmitError};
 use crate::lang::lower::LowerError;
 use crate::lang::{lower_program, parse, ParseError};
 use crate::machine::{layout_order, lower_function, ConstPool, DataLayout, DATA_BASE};
-use crate::opt::optimize_module;
+use crate::opt::{optimize_module_timed, PassTimes};
 use crate::regalloc::{allocate, RegAllocError};
 use crate::sched::schedule_function;
 use std::fmt;
@@ -98,6 +98,8 @@ pub struct StageTimes {
     pub sched: Duration,
     /// Data image and final assembly.
     pub emit: Duration,
+    /// The optimizer's passes, inside `opt`.
+    pub opt_passes: PassTimes,
 }
 
 impl StageTimes {
@@ -113,10 +115,19 @@ impl StageTimes {
             ("emit", self.emit),
         ]
     }
+
+    /// The timed parts of `stage` as `(name, time)`, in pipeline order:
+    /// the optimizer's passes for `opt`, none for the other stages.
+    pub fn parts_of(&self, stage: &str) -> Vec<(&'static str, Duration)> {
+        match stage {
+            "opt" => self.opt_passes.passes().to_vec(),
+            _ => Vec::new(),
+        }
+    }
 }
 
 /// Runs `f`, adding its wall time to `slot`.
-fn timed<T>(slot: &mut Duration, f: impl FnOnce() -> T) -> T {
+pub(crate) fn timed<T>(slot: &mut Duration, f: impl FnOnce() -> T) -> T {
     let start = Instant::now();
     let value = f();
     *slot += start.elapsed();
@@ -172,7 +183,7 @@ fn build(
     timed(&mut times.opt, || {
         module.verify().map_err(CompileError::Verify)?;
         if opts.optimize {
-            optimize_module(&mut module, opts.opt_iters);
+            optimize_module_timed(&mut module, opts.opt_iters, &mut times.opt_passes);
             module.verify().map_err(CompileError::Verify)?;
         }
         if let Some(max_insts) = opts.tail_duplicate {
@@ -180,7 +191,7 @@ fn build(
                 crate::opt::taildup::run(f, max_insts);
             }
             // Clean up now-unreachable originals and re-verify.
-            optimize_module(&mut module, 2);
+            optimize_module_timed(&mut module, 2, &mut times.opt_passes);
             module.verify().map_err(CompileError::Verify)?;
         }
         Ok::<(), CompileError>(())

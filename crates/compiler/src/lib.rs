@@ -32,8 +32,10 @@
 //! assert!(program.num_blocks() > 0);
 //! ```
 
+pub mod dataflow;
 pub mod driver;
 pub mod emit;
+pub mod fxmap;
 pub mod lang;
 pub mod liveness;
 pub mod machine;
@@ -41,5 +43,8 @@ pub mod opt;
 pub mod regalloc;
 pub mod sched;
 pub mod treegion;
+
+#[cfg(test)]
+mod oracle_tests;
 
 pub use driver::{compile, compile_module, compile_timed, CompileError, Options, StageTimes};

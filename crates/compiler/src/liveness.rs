@@ -6,8 +6,8 @@
 //! registers are never allocatable and their uses are confined to
 //! adjacent copy instructions (see [`crate::machine`]).
 
+use crate::dataflow::{solve_backward, VRegSets};
 use crate::machine::{MFunction, MReg};
-use std::collections::HashSet;
 
 /// Live interval of a virtual register over the linearized instruction
 /// index space.
@@ -26,10 +26,10 @@ pub struct Interval {
 /// Liveness facts for one machine function.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    /// `live_in[b]` — vregs live at entry of block `b`.
-    pub live_in: Vec<HashSet<u32>>,
-    /// `live_out[b]` — vregs live at exit of block `b`.
-    pub live_out: Vec<HashSet<u32>>,
+    /// Set `b` — vregs live at entry of block `b`.
+    pub live_in: VRegSets,
+    /// Set `b` — vregs live at exit of block `b`.
+    pub live_out: VRegSets,
     /// Global linear index of the first instruction of each block.
     pub block_start: Vec<u32>,
     /// Total linearized instruction count.
@@ -37,8 +37,116 @@ pub struct Liveness {
 }
 
 impl Liveness {
-    /// Runs the dataflow analysis.
+    /// Runs the dataflow analysis: per-block use/def sets in one walk,
+    /// then [`solve_backward`]'s word-wise fixpoint.
     pub fn compute(f: &MFunction) -> Liveness {
+        let nb = f.blocks.len();
+        let nv = f.vclass.len();
+        let mut use_set = VRegSets::new(nb, nv);
+        let mut def_set = VRegSets::new(nb, nv);
+        for (bi, b) in f.blocks.iter().enumerate() {
+            for inst in &b.insts {
+                for (_, r) in inst.uses() {
+                    if let MReg::Virt(v) = r {
+                        if !def_set.contains(bi, v) {
+                            use_set.insert(bi, v);
+                        }
+                    }
+                }
+                for (_, r) in inst.defs() {
+                    if let MReg::Virt(v) = r {
+                        def_set.insert(bi, v);
+                    }
+                }
+            }
+        }
+        let succs: Vec<[Option<u32>; 2]> = (0..nb)
+            .map(|b| {
+                let s = f.successors(b);
+                [0, 1].map(|i| s.get(i).map(|&s| s as u32))
+            })
+            .collect();
+        let (live_in, live_out) = solve_backward(&use_set, &def_set, &succs);
+        let mut block_start = Vec::with_capacity(nb);
+        let mut idx = 0u32;
+        for b in &f.blocks {
+            block_start.push(idx);
+            idx += b.insts.len() as u32;
+        }
+        Liveness {
+            live_in,
+            live_out,
+            block_start,
+            num_points: idx,
+        }
+    }
+
+    /// Builds coarse live intervals (min start, max end per vreg). A vreg
+    /// live into or out of a block extends across that whole block, so
+    /// holes are over-approximated away — the classic linear-scan trade.
+    pub fn intervals(&self, f: &MFunction) -> Vec<Interval> {
+        let nv = f.vclass.len();
+        let mut start = vec![u32::MAX; nv];
+        let mut end = vec![0u32; nv];
+        let mut weight = vec![0u32; nv];
+        let mut touch = |v: u32, point: u32| {
+            let vi = v as usize;
+            if start[vi] == u32::MAX || point < start[vi] {
+                start[vi] = point;
+            }
+            if point > end[vi] {
+                end[vi] = point;
+            }
+        };
+        for (bi, b) in f.blocks.iter().enumerate() {
+            let bstart = self.block_start[bi];
+            let bend = bstart + b.insts.len() as u32;
+            for v in self.live_in.iter(bi) {
+                touch(v, bstart);
+            }
+            for v in self.live_out.iter(bi) {
+                // Live-out extends to the block's end point.
+                touch(v, bend.saturating_sub(1).max(bstart));
+                touch(v, bstart);
+            }
+            for (ii, inst) in b.insts.iter().enumerate() {
+                let p = bstart + ii as u32;
+                for (_, r) in inst.defs() {
+                    if let MReg::Virt(v) = r {
+                        touch(v, p);
+                        weight[v as usize] += 1;
+                    }
+                }
+                for (_, r) in inst.uses() {
+                    if let MReg::Virt(v) = r {
+                        touch(v, p);
+                        weight[v as usize] += 1;
+                    }
+                }
+            }
+        }
+        (0..nv as u32)
+            .filter(|&v| start[v as usize] != u32::MAX)
+            .map(|v| Interval {
+                vreg: v,
+                start: start[v as usize],
+                end: end[v as usize],
+                weight: weight[v as usize],
+            })
+            .collect()
+    }
+}
+
+/// The hash-set analysis [`Liveness`] replaced, with its interval
+/// builder, kept as the oracle the dense version is checked against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::Interval;
+    use crate::machine::{MFunction, MReg};
+    use std::collections::HashSet;
+
+    /// `(live_in, live_out)` per block.
+    pub fn compute(f: &MFunction) -> (Vec<HashSet<u32>>, Vec<HashSet<u32>>) {
         let nb = f.blocks.len();
         let mut use_set: Vec<HashSet<u32>> = vec![HashSet::new(); nb];
         let mut def_set: Vec<HashSet<u32>> = vec![HashSet::new(); nb];
@@ -81,24 +189,15 @@ impl Liveness {
                 }
             }
         }
-        let mut block_start = Vec::with_capacity(nb);
-        let mut idx = 0u32;
-        for b in &f.blocks {
-            block_start.push(idx);
-            idx += b.insts.len() as u32;
-        }
-        Liveness {
-            live_in,
-            live_out,
-            block_start,
-            num_points: idx,
-        }
+        (live_in, live_out)
     }
 
-    /// Builds coarse live intervals (min start, max end per vreg). A vreg
-    /// live into or out of a block extends across that whole block, so
-    /// holes are over-approximated away — the classic linear-scan trade.
-    pub fn intervals(&self, f: &MFunction) -> Vec<Interval> {
+    /// Intervals from the hash-set live sets, visited in hash order.
+    pub fn intervals(
+        f: &MFunction,
+        live_in: &[HashSet<u32>],
+        live_out: &[HashSet<u32>],
+    ) -> Vec<Interval> {
         let nv = f.vclass.len();
         let mut start = vec![u32::MAX; nv];
         let mut end = vec![0u32; nv];
@@ -112,32 +211,26 @@ impl Liveness {
                 end[vi] = point;
             }
         };
+        let mut bstart = 0u32;
         for (bi, b) in f.blocks.iter().enumerate() {
-            let bstart = self.block_start[bi];
             let bend = bstart + b.insts.len() as u32;
-            for &v in &self.live_in[bi] {
+            for &v in &live_in[bi] {
                 touch(v, bstart);
             }
-            for &v in &self.live_out[bi] {
-                // Live-out extends to the block's end point.
+            for &v in &live_out[bi] {
                 touch(v, bend.saturating_sub(1).max(bstart));
                 touch(v, bstart);
             }
             for (ii, inst) in b.insts.iter().enumerate() {
                 let p = bstart + ii as u32;
-                for (_, r) in inst.defs() {
-                    if let MReg::Virt(v) = r {
-                        touch(v, p);
-                        weight[v as usize] += 1;
-                    }
-                }
-                for (_, r) in inst.uses() {
+                for (_, r) in inst.defs().into_iter().chain(inst.uses()) {
                     if let MReg::Virt(v) = r {
                         touch(v, p);
                         weight[v as usize] += 1;
                     }
                 }
             }
+            bstart = bend;
         }
         (0..nv as u32)
             .filter(|&v| start[v as usize] != u32::MAX)
@@ -173,7 +266,7 @@ mod tests {
         );
         let lv = Liveness::compute(&f);
         // Some block must have a nonempty live-in (the loop-carried `i`).
-        assert!(lv.live_in.iter().any(|s| !s.is_empty()));
+        assert!((0..f.blocks.len()).any(|b| !lv.live_in.is_empty(b)));
         let ivs = lv.intervals(&f);
         assert!(!ivs.is_empty());
         for iv in &ivs {

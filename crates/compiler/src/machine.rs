@@ -135,56 +135,62 @@ impl MInst {
     }
 
     /// Defined registers as `(class, reg)` pairs.
-    pub fn defs(&self) -> Vec<(RegClass, MReg)> {
+    pub fn defs(&self) -> Operands {
         use RegClass::*;
         match self {
             MInst::IntAlu { dst, .. }
             | MInst::LoadImm { dst, .. }
             | MInst::Load { dst, .. }
-            | MInst::CvtFi { dst, .. } => vec![(Int, *dst)],
-            MInst::IntCmp { dst, .. } | MInst::FloatCmp { dst, .. } => vec![(Pred, *dst)],
-            MInst::Float { dst, .. } | MInst::CvtIf { dst, .. } | MInst::FLoad { dst, .. } => {
-                vec![(Float, *dst)]
+            | MInst::CvtFi { dst, .. } => Operands::of(&[(Int, *dst)]),
+            MInst::IntCmp { dst, .. } | MInst::FloatCmp { dst, .. } => {
+                Operands::of(&[(Pred, *dst)])
             }
-            MInst::Copy { class, dst, .. } => vec![(*class, *dst)],
+            MInst::Float { dst, .. } | MInst::CvtIf { dst, .. } | MInst::FLoad { dst, .. } => {
+                Operands::of(&[(Float, *dst)])
+            }
+            MInst::Copy { class, dst, .. } => Operands::of(&[(*class, *dst)]),
             MInst::Store { .. }
             | MInst::FStore { .. }
             | MInst::Branch { .. }
             | MInst::Ret { .. }
             | MInst::Halt
-            | MInst::Sys { .. } => vec![],
+            | MInst::Sys { .. } => Operands::of(&[]),
             // Calls define the return-value and link registers; full
             // caller-saved clobbering is handled by the allocator.
-            MInst::Call { .. } => vec![
+            MInst::Call { .. } => Operands::of(&[
                 (Int, MReg::Phys(Gpr::RV.index())),
                 (Int, MReg::Phys(Gpr::LR.index())),
-            ],
+            ]),
         }
     }
 
     /// Used registers as `(class, reg)` pairs.
-    pub fn uses(&self) -> Vec<(RegClass, MReg)> {
+    pub fn uses(&self) -> Operands {
         use RegClass::*;
         match self {
-            MInst::IntAlu { a, b, .. } => vec![(Int, *a), (Int, *b)],
-            MInst::IntCmp { a, b, .. } => vec![(Int, *a), (Int, *b)],
-            MInst::FloatCmp { a, b, .. } => vec![(Float, *a), (Float, *b)],
-            MInst::LoadImm { .. } => vec![],
-            MInst::Float { a, b, .. } => vec![(Float, *a), (Float, *b)],
-            MInst::CvtIf { a, .. } => vec![(Int, *a)],
-            MInst::CvtFi { a, .. } => vec![(Float, *a)],
-            MInst::Load { base, .. } => vec![(Int, *base)],
-            MInst::Store { base, value, .. } => vec![(Int, *base), (Int, *value)],
-            MInst::FLoad { base, .. } => vec![(Int, *base)],
-            MInst::FStore { base, value } => vec![(Int, *base), (Float, *value)],
-            MInst::Copy { class, src, .. } => vec![(*class, *src)],
-            MInst::Branch { pred: Some(p), .. } => vec![(Pred, *p)],
-            MInst::Branch { pred: None, .. } | MInst::Halt => vec![],
-            MInst::Call { nargs, .. } => (0..*nargs)
-                .map(|i| (Int, MReg::Phys(Gpr::arg(i).index())))
-                .collect(),
-            MInst::Ret { addr } => vec![(Int, *addr)],
-            MInst::Sys { arg, .. } => vec![(Int, *arg)],
+            MInst::IntAlu { a, b, .. } => Operands::of(&[(Int, *a), (Int, *b)]),
+            MInst::IntCmp { a, b, .. } => Operands::of(&[(Int, *a), (Int, *b)]),
+            MInst::FloatCmp { a, b, .. } => Operands::of(&[(Float, *a), (Float, *b)]),
+            MInst::LoadImm { .. } => Operands::of(&[]),
+            MInst::Float { a, b, .. } => Operands::of(&[(Float, *a), (Float, *b)]),
+            MInst::CvtIf { a, .. } => Operands::of(&[(Int, *a)]),
+            MInst::CvtFi { a, .. } => Operands::of(&[(Float, *a)]),
+            MInst::Load { base, .. } => Operands::of(&[(Int, *base)]),
+            MInst::Store { base, value, .. } => Operands::of(&[(Int, *base), (Int, *value)]),
+            MInst::FLoad { base, .. } => Operands::of(&[(Int, *base)]),
+            MInst::FStore { base, value } => Operands::of(&[(Int, *base), (Float, *value)]),
+            MInst::Copy { class, src, .. } => Operands::of(&[(*class, *src)]),
+            MInst::Branch { pred: Some(p), .. } => Operands::of(&[(Pred, *p)]),
+            MInst::Branch { pred: None, .. } | MInst::Halt => Operands::of(&[]),
+            MInst::Call { nargs, .. } => {
+                let mut ops = Operands::of(&[]);
+                for i in 0..*nargs {
+                    ops.push((Int, MReg::Phys(Gpr::arg(i).index())));
+                }
+                ops
+            }
+            MInst::Ret { addr } => Operands::of(&[(Int, *addr)]),
+            MInst::Sys { arg, .. } => Operands::of(&[(Int, *arg)]),
         }
     }
 
@@ -246,6 +252,45 @@ impl MInst {
             MInst::Sys { arg, .. } => *arg = f(Int, false, *arg),
             MInst::Branch { pred: None, .. } | MInst::Call { .. } | MInst::Halt => {}
         }
+    }
+}
+
+/// The register operands one side of an instruction reads or writes,
+/// held inline: at most the six argument registers a call reads, so
+/// walking an instruction's operands never allocates.
+#[derive(Debug, Clone, Copy)]
+pub struct Operands {
+    regs: [(RegClass, MReg); Operands::MAX],
+    len: u8,
+}
+
+impl Operands {
+    /// Capacity: the argument-register count.
+    const MAX: usize = Gpr::NUM_ARGS as usize;
+
+    fn of(list: &[(RegClass, MReg)]) -> Operands {
+        let mut ops = Operands {
+            regs: [(RegClass::Int, MReg::Phys(0)); Operands::MAX],
+            len: 0,
+        };
+        for &r in list {
+            ops.push(r);
+        }
+        ops
+    }
+
+    fn push(&mut self, r: (RegClass, MReg)) {
+        self.regs[self.len as usize] = r;
+        self.len += 1;
+    }
+}
+
+impl IntoIterator for Operands {
+    type Item = (RegClass, MReg);
+    type IntoIter = std::iter::Take<std::array::IntoIter<(RegClass, MReg), { Operands::MAX }>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(self.len as usize)
     }
 }
 

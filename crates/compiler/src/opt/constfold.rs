@@ -10,21 +10,21 @@
 //!   [`crate::opt::simplify`]'s branch folding via a recorded constant
 //!   predicate.
 
-use std::collections::HashMap;
+use crate::fxmap::FxMap;
 use tinker_ir::{Cond, FBinOp, Function, IBinOp, IUnOp, Inst};
 
 /// Runs the pass; returns true when anything changed.
 pub fn run(f: &mut Function) -> bool {
     let mut changed = false;
     for block in &mut f.blocks {
-        let mut consts: HashMap<u32, i64> = HashMap::new();
-        let mut fconsts: HashMap<u32, f32> = HashMap::new();
-        let mut pconsts: HashMap<u32, bool> = HashMap::new();
+        let mut consts: FxMap<u32, i64> = FxMap::default();
+        let mut fconsts: FxMap<u32, f32> = FxMap::default();
+        let mut pconsts: FxMap<u32, bool> = FxMap::default();
         for inst in &mut block.insts {
             // Invalidate the destination before folding (self-redefines).
             let def = inst.def();
-            let get = |m: &HashMap<u32, i64>, v: tinker_ir::VReg| m.get(&v.0).copied();
-            let getf = |m: &HashMap<u32, f32>, v: tinker_ir::VReg| m.get(&v.0).copied();
+            let get = |m: &FxMap<u32, i64>, v: tinker_ir::VReg| m.get(&v.0).copied();
+            let getf = |m: &FxMap<u32, f32>, v: tinker_ir::VReg| m.get(&v.0).copied();
             let new_inst: Option<Inst> = match inst {
                 Inst::IBin { op, dst, a, b } => {
                     let (ca, cb) = (get(&consts, *a), get(&consts, *b));
@@ -45,12 +45,15 @@ pub fn run(f: &mut Function) -> bool {
                     }),
                     _ => None,
                 },
+                // A copy of a constant stays a copy (tracked below):
+                // CSE would only turn its folded form back into it.
+                Inst::IUn { op: IUnOp::Mov, .. } => None,
                 Inst::IUn { op, dst, a } => get(&consts, *a).map(|x| Inst::IConst {
                     dst: *dst,
                     value: match op {
-                        IUnOp::Mov => x,
                         IUnOp::Not => !(x as i32) as i64,
                         IUnOp::Neg => (x as i32).wrapping_neg() as i64,
+                        IUnOp::Mov => unreachable!("copies are not folded"),
                     },
                 }),
                 Inst::ICmp { .. } => None, // tracked below, after invalidation
@@ -69,6 +72,12 @@ pub fn run(f: &mut Function) -> bool {
                 changed = true;
             }
             // Update the tracked constants for the (possibly new) inst.
+            let copied = match inst {
+                Inst::IUn {
+                    op: IUnOp::Mov, a, ..
+                } => consts.get(&a.0).copied(),
+                _ => None,
+            };
             if let Some(d) = def {
                 consts.remove(&d.0);
                 fconsts.remove(&d.0);
@@ -77,6 +86,11 @@ pub fn run(f: &mut Function) -> bool {
             match inst {
                 Inst::IConst { dst, value } => {
                     consts.insert(dst.0, *value);
+                }
+                Inst::IUn { dst, .. } => {
+                    if let Some(c) = copied {
+                        consts.insert(dst.0, c);
+                    }
                 }
                 Inst::FConst { dst, value } => {
                     fconsts.insert(dst.0, *value);
@@ -230,6 +244,27 @@ mod tests {
         assert!(run(&mut f));
         assert!(matches!(
             f.blocks[0].insts[2],
+            Inst::IConst { value: 5, .. }
+        ));
+    }
+
+    #[test]
+    fn copies_of_constants_stay_copies_but_fold_their_uses() {
+        let mut b = FunctionBuilder::new("f", 0, Some(RegClass::Int));
+        let e = b.entry();
+        let x = b.iconst(e, 2);
+        let y = b.iun(e, IUnOp::Mov, x);
+        let three = b.iconst(e, 3);
+        let s = b.ibin(e, IBinOp::Add, y, three);
+        b.set_term(e, Terminator::Ret(Some(s)));
+        let mut f = b.finish();
+        assert!(run(&mut f));
+        assert!(matches!(
+            f.blocks[0].insts[1],
+            Inst::IUn { op: IUnOp::Mov, .. }
+        ));
+        assert!(matches!(
+            f.blocks[0].insts[3],
             Inst::IConst { value: 5, .. }
         ));
     }

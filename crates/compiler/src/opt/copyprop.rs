@@ -4,7 +4,7 @@
 //! rewritten to `src` until either register is redefined. Predicates are
 //! never copied, so only the integer and float files participate.
 
-use std::collections::HashMap;
+use crate::fxmap::FxMap;
 use tinker_ir::{Function, IUnOp, Inst, VReg};
 
 /// Runs the pass; returns true when anything changed.
@@ -12,10 +12,10 @@ pub fn run(f: &mut Function) -> bool {
     let mut changed = false;
     for block in &mut f.blocks {
         // copy_of[d] = s when "d currently equals s".
-        let mut copy_of: HashMap<u32, u32> = HashMap::new();
+        let mut copy_of: FxMap<u32, u32> = FxMap::default();
         for inst in &mut block.insts {
             // Rewrite uses through the copy map.
-            let remap = |copy_of: &HashMap<u32, u32>, v: &mut VReg, changed: &mut bool| {
+            let remap = |copy_of: &FxMap<u32, u32>, v: &mut VReg, changed: &mut bool| {
                 if let Some(&s) = copy_of.get(&v.0) {
                     *v = VReg(s);
                     *changed = true;

@@ -12,31 +12,65 @@ pub mod dce;
 pub mod simplify;
 pub mod taildup;
 
+use crate::driver::timed;
+use std::time::Duration;
 use tinker_ir::Module;
 
+/// Wall time of each optimizer pass, summed over rounds and functions.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PassTimes {
+    /// [`constfold`].
+    pub constfold: Duration,
+    /// [`cse`].
+    pub cse: Duration,
+    /// [`copyprop`].
+    pub copyprop: Duration,
+    /// [`simplify`].
+    pub simplify: Duration,
+    /// [`dce`].
+    pub dce: Duration,
+}
+
+impl PassTimes {
+    /// Every pass as `(name, time)`, in pipeline order.
+    pub fn passes(&self) -> [(&'static str, Duration); 5] {
+        [
+            ("constfold", self.constfold),
+            ("cse", self.cse),
+            ("copyprop", self.copyprop),
+            ("simplify", self.simplify),
+            ("dce", self.dce),
+        ]
+    }
+}
+
 /// Runs the full pass pipeline (fold → CSE → copy-prop → simplify → DCE)
-/// up to `max_iter` times or until a round leaves the module as it was.
+/// up to `max_iter` times or until a round changes nothing.
 ///
-/// A round can report changes and still end where it began: `constfold`
-/// turns `v = mov w` into `v = iconst c` and `cse` folds it back. The
-/// passes are deterministic, so every later round would repeat it; the
-/// module is compared with its snapshot from before the round, and the
-/// loop stops at that fixpoint with the bytes a full budget would give.
+/// No pass undoes another's work, so the rounds reach a round that
+/// changes nothing instead of cycling through the budget: `constfold`
+/// leaves a copy of a constant as a copy (CSE would turn its folded form
+/// back into one), and CSE leaves copies to copy propagation (which
+/// would turn a copy of a copy back).
 ///
 /// Returns the number of iterations that made progress.
 pub fn optimize_module(m: &mut Module, max_iter: usize) -> usize {
+    optimize_module_timed(m, max_iter, &mut PassTimes::default())
+}
+
+/// [`optimize_module`], adding each pass's wall time to `times`.
+pub fn optimize_module_timed(m: &mut Module, max_iter: usize, times: &mut PassTimes) -> usize {
     let mut iterations = 0;
     for _ in 0..max_iter {
-        let before = m.clone();
         let mut changed = false;
         for f in m.funcs_mut() {
-            changed |= constfold::run(f);
-            changed |= cse::run(f);
-            changed |= copyprop::run(f);
-            changed |= simplify::run(f);
-            changed |= dce::run(f);
+            changed |= timed(&mut times.constfold, || constfold::run(f));
+            changed |= timed(&mut times.cse, || cse::run(f));
+            changed |= timed(&mut times.copyprop, || copyprop::run(f));
+            changed |= timed(&mut times.simplify, || simplify::run(f));
+            changed |= timed(&mut times.dce, || dce::run(f));
         }
-        if !changed || *m == before {
+        if !changed {
             break;
         }
         iterations += 1;

@@ -115,8 +115,11 @@ pub fn allocate(f: &mut MFunction) -> Result<FrameInfo, RegAllocError> {
             }
         }
     }
-    let crosses_call =
-        |iv: &Interval| -> bool { call_points.iter().any(|&c| iv.start < c && c < iv.end) };
+    // `call_points` is ascending: look at the first call after the start.
+    let crosses_call = |iv: &Interval| -> bool {
+        let first_after = call_points.partition_point(|&c| c <= iv.start);
+        call_points.get(first_after).is_some_and(|&c| c < iv.end)
+    };
 
     let mut loc: Vec<Option<Loc>> = vec![None; f.vclass.len()];
     let mut next_slot = 0u32;
@@ -132,8 +135,8 @@ pub fn allocate(f: &mut MFunction) -> Result<FrameInfo, RegAllocError> {
         act.retain(|&(end, _, _)| end >= iv.start);
 
         let needs_callee = class != RegClass::Pred && crosses_call(iv);
-        let in_use: Vec<u8> = act.iter().map(|&(_, _, r)| r).collect();
-        let free = |pool: &[u8]| pool.iter().copied().find(|r| !in_use.contains(r));
+        let in_use: u64 = act.iter().fold(0, |m, &(_, _, r)| m | 1 << r);
+        let free = |pool: &[u8]| pool.iter().copied().find(|&r| in_use & 1 << r == 0);
 
         let choice = if needs_callee {
             free(callee)

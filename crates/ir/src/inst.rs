@@ -225,37 +225,37 @@ impl Inst {
         }
     }
 
-    /// Appends all source registers to `out`.
-    pub fn uses_into(&self, out: &mut Vec<VReg>) {
+    /// Calls `f` with each source register, in [`Inst::uses`] order.
+    pub fn for_each_use(&self, mut f: impl FnMut(VReg)) {
         match self {
             Inst::IConst { .. } | Inst::FConst { .. } | Inst::GlobalAddr { .. } => {}
             Inst::IBin { a, b, .. }
             | Inst::FBin { a, b, .. }
             | Inst::ICmp { a, b, .. }
             | Inst::FCmp { a, b, .. } => {
-                out.push(*a);
-                out.push(*b);
+                f(*a);
+                f(*b);
             }
             Inst::IUn { a, .. }
             | Inst::FNeg { a, .. }
             | Inst::FAbs { a, .. }
             | Inst::FMov { a, .. }
             | Inst::CvtIF { a, .. }
-            | Inst::CvtFI { a, .. } => out.push(*a),
-            Inst::Load { base, .. } | Inst::FLoad { base, .. } => out.push(*base),
+            | Inst::CvtFI { a, .. } => f(*a),
+            Inst::Load { base, .. } | Inst::FLoad { base, .. } => f(*base),
             Inst::Store { base, value, .. } | Inst::FStore { base, value, .. } => {
-                out.push(*base);
-                out.push(*value);
+                f(*base);
+                f(*value);
             }
-            Inst::Call { args, .. } => out.extend(args.iter().copied()),
-            Inst::Sys { arg, .. } => out.push(*arg),
+            Inst::Call { args, .. } => args.iter().copied().for_each(f),
+            Inst::Sys { arg, .. } => f(*arg),
         }
     }
 
     /// All source registers.
     pub fn uses(&self) -> Vec<VReg> {
         let mut v = Vec::new();
-        self.uses_into(&mut v);
+        self.for_each_use(|u| v.push(u));
         v
     }
 
@@ -303,13 +303,18 @@ impl Terminator {
         }
     }
 
+    /// The register the terminator reads, if any.
+    pub fn use_reg(&self) -> Option<VReg> {
+        match self {
+            Terminator::CondBr { pred, .. } => Some(*pred),
+            Terminator::Ret(v) => *v,
+            Terminator::Jump(_) | Terminator::Halt => None,
+        }
+    }
+
     /// Registers read by the terminator.
     pub fn uses(&self) -> Vec<VReg> {
-        match self {
-            Terminator::CondBr { pred, .. } => vec![*pred],
-            Terminator::Ret(Some(v)) => vec![*v],
-            _ => vec![],
-        }
+        self.use_reg().into_iter().collect()
     }
 }
 

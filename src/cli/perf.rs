@@ -292,14 +292,19 @@ fn attr(args: &EngineArgs, env: Env) -> Result<(), String> {
         }
     }
 
-    // lego's stages are children of each compile span, laid end to end:
-    // they may leave a gap but never add up to more than the compile.
-    for c in forest.nodes().iter().filter(|n| n.name == "compile") {
-        let stages: u64 = forest.children_of(c.id).map(|k| k.dur_ns).sum();
-        if stages > c.dur_ns {
+    // lego's stages are children of each compile span, and the
+    // optimizer's passes children of each opt span, laid end to end:
+    // they may leave a gap but never add up to more than their parent.
+    for c in forest
+        .nodes()
+        .iter()
+        .filter(|n| n.name == "compile" || n.name == "opt")
+    {
+        let parts: u64 = forest.children_of(c.id).map(|k| k.dur_ns).sum();
+        if parts > c.dur_ns {
             return Err(format!(
-                "compile {}: stage spans sum to {stages} ns > {} ns",
-                c.detail, c.dur_ns
+                "{} {}: child spans sum to {parts} ns > {} ns",
+                c.name, c.detail, c.dur_ns
             ));
         }
     }
@@ -318,7 +323,8 @@ fn attr(args: &EngineArgs, env: Env) -> Result<(), String> {
     let _ = writeln!(
         text,
         "\nper-stage rollup (compile, emulate, encode and report reconcile exactly with \
-         the engine timers; lego's stages sum to at most compile):"
+         the engine timers; lego's stages sum to at most compile, its optimizer passes \
+         to at most opt):"
     );
     for (stage, r) in &roll {
         let _ = writeln!(
