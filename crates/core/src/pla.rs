@@ -8,11 +8,14 @@
 //! * a transistor-count cost model for a two-plane (AND/OR) PLA, used in
 //!   the Figure-10 comparison against the Huffman tree decoders;
 //! * a synthesizable-style Verilog generator that expands a tailored
-//!   operation back into the baseline 40-bit control word — field
-//!   re-widening, dense-code inverse mapping and opcode dispatch.
+//!   operation back into the baseline 40-bit control word — opcode
+//!   dispatch, dense-code inverse mapping, sign extension and field
+//!   re-widening. It prints the spec's placement table, the same table
+//!   [`TailoredSpec::expand`] interprets, so the Verilog and the Rust
+//!   decoder cannot disagree.
 
 use crate::encoded::DecoderCost;
-use crate::schemes::tailored::TailoredSpec;
+use crate::schemes::tailored::{Map, Remap, Row, TailoredSpec};
 use std::fmt::Write as _;
 
 /// Transistor estimate for a PLA with `inputs` input bits, `terms`
@@ -42,51 +45,68 @@ pub fn tailored_decoder_cost(spec: &TailoredSpec) -> DecoderCost {
 /// Emits a Verilog module that maps one tailored operation (left-aligned
 /// in `tailored_op`) to the original 40-bit TEPIC word and its bit
 /// length. This mirrors the artifact the paper's compiler hands to the
-/// ASIC flow.
+/// ASIC flow. Each case arm prints one opsel code's placement row by
+/// row, as [`TailoredSpec::expand`] interprets it: the constant word,
+/// then each field's slice of `tailored_op` through its inverse map
+/// (sign-extended for the immediate, a constant when 0 bits wide).
+/// Codes outside a map decode to 0 here, where `expand` reports them.
 pub fn emit_tailored_decoder_verilog(spec: &TailoredSpec, module_name: &str) -> String {
     let mut v = String::new();
     let hw = spec.header_width();
+    let pw = spec.pr.width();
+    let opw = spec.opsel.width();
     let _ = writeln!(v, "// Auto-generated tailored-ISA decoder.");
     let _ = writeln!(
         v,
-        "// header: tail(1){} opsel({}) | pred({}) | payload",
+        "// header: tail(1){} opsel({opw}) | pred({pw}) | payload",
         if spec.spec_used { " spec(1)" } else { "" },
-        spec.opsel.width(),
-        spec.pr.width()
     );
     let _ = writeln!(v, "module {module_name} (");
     let _ = writeln!(v, "    input  wire [63:0] tailored_op,");
     let _ = writeln!(v, "    output reg  [39:0] word,");
     let _ = writeln!(v, "    output reg  [5:0]  op_len");
     let _ = writeln!(v, ");");
-    let _ = writeln!(v, "  wire tail = tailored_op[63];");
-    let opw = spec.opsel.width();
     if opw > 0 {
-        let hi = 63 - spec.spec_used as u32 - 1;
-        let lo = hi + 1 - opw;
-        let _ = writeln!(v, "  wire [{}:0] opsel = tailored_op[{hi}:{lo}];", opw - 1);
+        let hi = 63 - (hw - opw);
+        let opsel = slice("tailored_op", hi, opw);
+        let _ = writeln!(v, "  wire [{}:0] opsel = {opsel};", opw - 1);
     } else {
         let _ = writeln!(v, "  wire [0:0] opsel = 1'b0; // single opcode program");
     }
 
-    // Inverse maps as functions.
-    emit_inverse_map(&mut v, "gpr_decode", spec.gpr.values(), 5);
-    emit_inverse_map(&mut v, "fpr_decode", spec.fpr.values(), 5);
-    emit_inverse_map(&mut v, "pr_decode", spec.pr.values(), 5);
-    emit_inverse_map(&mut v, "opsel_decode", spec.opsel.values(), 7);
+    // The inverse map of every table a row reads, in first-use order.
+    let mut mapped = Vec::new();
+    for row in spec.placements().iter().flat_map(|p| &p.rows) {
+        if let Map::Table(t, _) = row.map {
+            if row.width > 0 && !mapped.contains(&t) {
+                mapped.push(t);
+                emit_inverse_map(&mut v, t.name(), spec.table(t), row.at.width);
+            }
+        }
+    }
 
     let _ = writeln!(v, "  always @* begin");
-    let _ = writeln!(v, "    word = 40'd0;");
-    let _ = writeln!(v, "    word[0] = tail;");
     let _ = writeln!(v, "    case (opsel)");
-    let pw = spec.pr.width();
-    let arms = spec.opsel.values().iter().zip(spec.opsel_bits());
-    for (dense, (&orig, len)) in arms.enumerate() {
-        let opt = orig / 32;
-        let opc = orig % 32;
-        let _ = writeln!(v, "      {opw}'d{dense}: begin // opt={opt} opcode={opc}");
-        let _ = writeln!(v, "        word[3:2] = 2'd{opt};");
-        let _ = writeln!(v, "        word[8:4] = 5'd{opc};");
+    let arms = spec.opsel.values().iter().zip(spec.placements());
+    for (dense, (&key, placement)) in arms.enumerate() {
+        let _ = writeln!(
+            v,
+            "      {}'d{dense}: begin // opt={} opcode={}",
+            opw.max(1),
+            key / 32,
+            key % 32
+        );
+        let _ = writeln!(v, "        word = 40'h{:010x};", placement.base);
+        // `next` is one above the next unread bit of `tailored_op`.
+        let mut next = 64;
+        for row in &spec.head() {
+            emit_row(&mut v, spec, row, &mut next);
+        }
+        next -= opw;
+        for row in &placement.rows {
+            emit_row(&mut v, spec, row, &mut next);
+        }
+        let len = 64 - next;
         let _ = writeln!(
             v,
             "        op_len = 6'd{len}; // header {hw} + pred {pw} + payload {}",
@@ -101,19 +121,49 @@ pub fn emit_tailored_decoder_verilog(spec: &TailoredSpec, module_name: &str) -> 
     v
 }
 
-fn emit_inverse_map(v: &mut String, name: &str, values: &[u32], out_bits: u32) {
-    let in_bits = if values.len() <= 1 {
-        1
+/// `name[hi:lo]` for the `width` bits down from `hi` (`name[hi]` for one).
+fn slice(name: &str, hi: u32, width: u32) -> String {
+    if width == 1 {
+        format!("{name}[{hi}]")
     } else {
-        (usize::BITS - (values.len() - 1).leading_zeros()).max(1)
+        format!("{name}[{hi}:{}]", hi + 1 - width)
+    }
+}
+
+/// Prints one row's assignment into its TEPIC range of `word`.
+fn emit_row(v: &mut String, spec: &TailoredSpec, row: &Row, next: &mut u32) {
+    let tw = row.at.width;
+    let dst = slice("word", row.at.off + tw - 1, tw);
+    let rhs = if row.width == 0 {
+        format!("{tw}'d{}", spec.value(row, 0).unwrap_or(0))
+    } else {
+        let src = slice("tailored_op", *next - 1, row.width);
+        match row.map {
+            Map::Raw => src,
+            Map::SignExtend if row.width < tw => {
+                let sign = slice("tailored_op", *next - 1, 1);
+                format!("{{{{{}{{{sign}}}}}, {src}}}", tw - row.width)
+            }
+            Map::SignExtend => src,
+            Map::Table(t, _) => format!("{}_decode({src})", t.name()),
+        }
     };
-    let _ = writeln!(v, "  function [{}:0] {name};", out_bits - 1);
+    *next -= row.width;
+    let _ = writeln!(v, "        {dst} = {rhs};");
+}
+
+fn emit_inverse_map(v: &mut String, name: &str, table: &Remap, out_bits: u32) {
+    let in_bits = table.width();
+    let _ = writeln!(v, "  function [{}:0] {name}_decode;", out_bits - 1);
     let _ = writeln!(v, "    input [{}:0] dense;", in_bits - 1);
     let _ = writeln!(v, "    case (dense)");
-    for (i, &orig) in values.iter().enumerate() {
-        let _ = writeln!(v, "      {in_bits}'d{i}: {name} = {out_bits}'d{orig};");
+    for (i, &orig) in table.values().iter().enumerate() {
+        let _ = writeln!(
+            v,
+            "      {in_bits}'d{i}: {name}_decode = {out_bits}'d{orig};"
+        );
     }
-    let _ = writeln!(v, "      default: {name} = {out_bits}'d0;");
+    let _ = writeln!(v, "      default: {name}_decode = {out_bits}'d0;");
     let _ = writeln!(v, "    endcase");
     let _ = writeln!(v, "  endfunction");
 }

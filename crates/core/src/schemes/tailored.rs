@@ -11,11 +11,15 @@
 //! at fixed head positions so the decoder needs no search — exactly the
 //! decode-friendly regularity the paper's compiler looks for.
 //!
-//! Each operation kind's payload fields are listed once, in `walk`; the
-//! program scan, the sizes, the encoder, the decoder and the PLA's
-//! per-opcode lengths all follow that list. The decoder dispatches on
-//! the dense opsel code to a template kind taken from the program, so
-//! the `(OPT, OPCODE)` numbering stays in `tepic-isa`.
+//! The payload fields come from `tepic-isa`'s one per-kind list,
+//! [`OpKind::walk`], and each opsel code's kind from
+//! [`OpKind::template`]. From them the spec builds one placement table
+//! per dense opsel code: the constant bits of the TEPIC word (OPT,
+//! OPCODE, fixed bits), then one row per field, giving the field's
+//! tailored width, its inverse map and its TEPIC bit range. The encoder
+//! reads each row's range out of the TEPIC word, [`TailoredSpec::expand`]
+//! writes it back, and [`crate::pla`] prints the same rows as the
+//! decoder's Verilog, so the three cannot disagree.
 //!
 //! Decoding a tailored op yields the processor's internal signals
 //! directly; no Huffman stage exists. The decoder is a compiler-emitted
@@ -23,17 +27,14 @@
 
 use super::{BlockCodec, BlockDecodeError, CompressError, Scheme, SchemeOutput};
 use crate::encoded::{EncodedProgram, SchemeKind};
-use std::collections::{BTreeMap, HashMap};
-use std::convert::Infallible;
-use tepic_isa::op::{BlockTarget, Cond, MemWidth, OpKind, Operation, SysCode};
-use tepic_isa::regs::{Fpr, Gpr, Pr};
+use tepic_isa::op::{self, BitRange, Field, OpKind, OpType, Operation};
 use tepic_isa::Program;
 use tinker_huffman::{BitReader, BitWriter};
 
 /// Dense renumbering of a field's used values.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Remap {
-    to_dense: HashMap<u32, u32>,
+    /// The used values, sorted; dense code `d` stands for `from_dense[d]`.
     from_dense: Vec<u32>,
 }
 
@@ -41,15 +42,7 @@ impl Remap {
     fn build(mut used: Vec<u32>) -> Remap {
         used.sort_unstable();
         used.dedup();
-        let to_dense = used
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i as u32))
-            .collect();
-        Remap {
-            to_dense,
-            from_dense: used,
-        }
+        Remap { from_dense: used }
     }
 
     /// Bits needed to address every used value (0 when ≤1 value).
@@ -73,7 +66,10 @@ impl Remap {
     ///
     /// Panics if `v` was not in the program (spec mismatch).
     pub fn enc(&self, v: u32) -> u32 {
-        self.to_dense[&v]
+        match self.from_dense.binary_search(&v) {
+            Ok(d) => d as u32,
+            Err(_) => panic!("value {v} is not in the program's renumbering"),
+        }
     }
 
     /// Original value of a dense code.
@@ -104,123 +100,6 @@ fn signed_width(v: i32) -> u32 {
     }
 }
 
-/// One payload field of an operation, borrowed from its [`OpKind`].
-enum Field<'a> {
-    Gpr(&'a mut Gpr),
-    Fpr(&'a mut Fpr),
-    /// A compare's predicate destination (the guard is header, not
-    /// payload).
-    Pr(&'a mut Pr),
-    Cond(&'a mut Cond),
-    Mw(&'a mut MemWidth),
-    Lat(&'a mut u8),
-    Sys(&'a mut SysCode),
-    Imm(&'a mut i32),
-    Target(&'a mut BlockTarget),
-}
-
-/// Visits the payload fields of `kind` in encode order, stopping at the
-/// first error. This is the tailored ISA's one per-kind field list: the
-/// scan, the sizes, the encoder, the decoder and the PLA's per-opcode
-/// lengths all follow it.
-fn walk<E>(kind: &mut OpKind, mut f: impl FnMut(Field<'_>) -> Result<(), E>) -> Result<(), E> {
-    use Field as F;
-    match kind {
-        OpKind::IntAlu {
-            src1, src2, dest, ..
-        } => {
-            f(F::Gpr(src1))?;
-            f(F::Gpr(src2))?;
-            f(F::Gpr(dest))
-        }
-        OpKind::IntCmp {
-            cond,
-            src1,
-            src2,
-            dest,
-        } => {
-            f(F::Gpr(src1))?;
-            f(F::Gpr(src2))?;
-            f(F::Cond(cond))?;
-            f(F::Pr(dest))
-        }
-        OpKind::FloatCmp {
-            cond,
-            src1,
-            src2,
-            dest,
-        } => {
-            f(F::Fpr(src1))?;
-            f(F::Fpr(src2))?;
-            f(F::Cond(cond))?;
-            f(F::Pr(dest))
-        }
-        OpKind::LoadImm { imm, dest, .. } => {
-            f(F::Imm(imm))?;
-            f(F::Gpr(dest))
-        }
-        OpKind::Float {
-            src1, src2, dest, ..
-        } => {
-            f(F::Fpr(src1))?;
-            f(F::Fpr(src2))?;
-            f(F::Fpr(dest))
-        }
-        OpKind::CvtIf { src, dest } => {
-            f(F::Gpr(src))?;
-            f(F::Fpr(dest))
-        }
-        OpKind::CvtFi { src, dest } => {
-            f(F::Fpr(src))?;
-            f(F::Gpr(dest))
-        }
-        OpKind::Load {
-            width,
-            base,
-            lat,
-            dest,
-        } => {
-            f(F::Gpr(base))?;
-            f(F::Mw(width))?;
-            f(F::Lat(lat))?;
-            f(F::Gpr(dest))
-        }
-        OpKind::Store { width, base, value } => {
-            f(F::Gpr(base))?;
-            f(F::Mw(width))?;
-            f(F::Gpr(value))
-        }
-        OpKind::FLoad { base, lat, dest } => {
-            f(F::Gpr(base))?;
-            f(F::Lat(lat))?;
-            f(F::Fpr(dest))
-        }
-        OpKind::FStore { base, value } => {
-            f(F::Gpr(base))?;
-            f(F::Fpr(value))
-        }
-        OpKind::Branch { target } => f(F::Target(target)),
-        OpKind::Call { target, link } => {
-            f(F::Target(target))?;
-            f(F::Gpr(link))
-        }
-        OpKind::Ret { src } => f(F::Gpr(src)),
-        OpKind::Halt => Ok(()),
-        OpKind::Sys { code, arg } => {
-            f(F::Sys(code))?;
-            f(F::Gpr(arg))
-        }
-    }
-}
-
-/// [`walk`] over a copy of `kind`, for visitors that only read.
-fn visit(mut kind: OpKind, mut f: impl FnMut(Field<'_>)) {
-    let Ok(()) = walk(&mut kind, |x| {
-        f(x);
-        Ok::<(), Infallible>(())
-    });
-}
-
 /// The `(OPT, OPCODE)` pair of `op`, keyed as `opt * 32 + opcode`.
 fn opsel_key(op: &Operation) -> u32 {
     let (opt, opc) = op.opt_opcode();
@@ -231,17 +110,78 @@ fn bad(field: &'static str) -> BlockDecodeError {
     BlockDecodeError::BadValue { field }
 }
 
-/// Maps a dense register code back through `table` to a register.
-fn reg<R>(
-    table: &Remap,
-    code: u64,
-    new: fn(u8) -> Option<R>,
-    field: &'static str,
-) -> Result<R, BlockDecodeError> {
-    table
-        .dec(code as u32)
-        .and_then(|v| new(v as u8))
-        .ok_or(bad(field))
+/// The spec's renumbering tables of payload fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Table {
+    Gpr,
+    Fpr,
+    Pr,
+    Cond,
+    Mw,
+    Lat,
+    Sys,
+}
+
+impl Table {
+    /// The table a payload field is renumbered through, with the name a
+    /// bad code of the field is reported under; `None` for the
+    /// immediate, the branch target and fixed bits.
+    fn of(f: &Field<'_>) -> Option<(Table, &'static str)> {
+        Some(match f {
+            Field::Gpr(_) => (Table::Gpr, "gpr"),
+            Field::Fpr(_) => (Table::Fpr, "fpr"),
+            Field::Pr(_) => (Table::Pr, "pred dest"),
+            Field::Cond(_) => (Table::Cond, "cond"),
+            Field::Mw(_) => (Table::Mw, "mem width"),
+            Field::Lat(_) => (Table::Lat, "load latency"),
+            Field::Sys(_) => (Table::Sys, "sys code"),
+            Field::Imm(_) | Field::Target(_) | Field::Fixed(_) => return None,
+        })
+    }
+
+    /// Short name; the Verilog inverse map is `<name>_decode`.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Table::Gpr => "gpr",
+            Table::Fpr => "fpr",
+            Table::Pr => "pr",
+            Table::Cond => "cond",
+            Table::Mw => "mw",
+            Table::Lat => "lat",
+            Table::Sys => "sys",
+        }
+    }
+}
+
+/// How a row's code becomes its TEPIC field value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Map {
+    /// The code is the value: tail, spec, branch target.
+    Raw,
+    /// The code sign-extended from its width: the immediate.
+    SignExtend,
+    /// The code's entry in a renumbering table; `field` names it in a
+    /// [`BlockDecodeError::BadValue`].
+    Table(Table, &'static str),
+}
+
+/// One field of a tailored op: its next `width` bits, mapped by `map`,
+/// land in range `at` of the TEPIC word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Row {
+    pub(crate) width: u32,
+    pub(crate) map: Map,
+    pub(crate) at: BitRange,
+}
+
+/// The expansion of one dense opsel code into the TEPIC word.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Placement {
+    /// OPT, OPCODE and the bits the format fixes for the kind.
+    pub(crate) base: u64,
+    /// The guard predicate's row, then one row per payload field, in
+    /// stream order after the opsel code.
+    pub(crate) rows: Vec<Row>,
 }
 
 /// The complete tailored ISA specification for one program.
@@ -271,51 +211,53 @@ pub struct TailoredSpec {
     pub imm_width: u32,
     /// Branch target field width (⌈log₂ #blocks⌉).
     pub target_width: u32,
-    /// The kind of the program's first op with each dense `opsel` code.
-    /// Decoding copies it and overwrites every payload field, so the
-    /// `(OPT, OPCODE)` → kind mapping stays in `tepic-isa`, as the PLA
-    /// is programmed.
-    templates: Vec<OpKind>,
+    /// One placement per dense `opsel` code, built from its key through
+    /// [`OpKind::template`]: the PLA's programming.
+    placements: Vec<Placement>,
 }
 
 impl TailoredSpec {
     /// Scans a program and computes all field widths and renumberings.
     pub fn compute(program: &Program) -> TailoredSpec {
         let mut spec_used = false;
-        let mut templates = BTreeMap::new();
-        let [mut gpr, mut fpr, mut pr, mut cond, mut mw, mut lat, mut sys]: [Vec<u32>; 7] =
-            Default::default();
+        let mut opsel = Vec::new();
+        let mut tables: [Vec<u32>; 7] = Default::default();
         let mut imm_width = 1u32;
         for op in program.ops() {
             spec_used |= op.spec;
-            templates.entry(opsel_key(op)).or_insert(op.kind);
-            pr.push(op.pred.index() as u32);
-            visit(op.kind, |f| match f {
-                Field::Gpr(r) => gpr.push(r.index() as u32),
-                Field::Fpr(r) => fpr.push(r.index() as u32),
-                Field::Pr(r) => pr.push(r.index() as u32),
-                Field::Cond(c) => cond.push(*c as u32),
-                Field::Mw(w) => mw.push(*w as u32),
-                Field::Lat(l) => lat.push(*l as u32),
-                Field::Sys(s) => sys.push(*s as u32),
-                Field::Imm(v) => imm_width = imm_width.max(signed_width(*v)),
-                Field::Target(_) => {}
+            opsel.push(opsel_key(op));
+            let word = op.encode();
+            tables[Table::Pr as usize].push(op::PRED.get(word) as u32);
+            op.kind.visit(|f, at| {
+                if let Some((t, _)) = Table::of(&f) {
+                    tables[t as usize].push(at.get(word) as u32);
+                } else if let Field::Imm(v) = f {
+                    imm_width = imm_width.max(signed_width(*v));
+                }
             });
         }
-        TailoredSpec {
+        let [gpr, fpr, pr, cond, mw, lat, sys] = tables.map(Remap::build);
+        let mut spec = TailoredSpec {
             spec_used,
-            opsel: Remap::build(templates.keys().copied().collect()),
-            gpr: Remap::build(gpr),
-            fpr: Remap::build(fpr),
-            pr: Remap::build(pr),
-            cond: Remap::build(cond),
-            mw: Remap::build(mw),
-            lat: Remap::build(lat),
-            sys: Remap::build(sys),
+            opsel: Remap::build(opsel),
+            gpr,
+            fpr,
+            pr,
+            cond,
+            mw,
+            lat,
+            sys,
             imm_width,
             target_width: ceil_log2(program.num_blocks()).max(1),
-            templates: templates.into_values().collect(),
-        }
+            placements: Vec::new(),
+        };
+        spec.placements = spec
+            .opsel
+            .values()
+            .iter()
+            .map(|&key| spec.placement(key))
+            .collect();
+        spec
     }
 
     /// Bits of the fixed header: tail + (spec) + opsel.
@@ -325,115 +267,127 @@ impl TailoredSpec {
 
     /// Encoded size in bits of one operation under this spec.
     pub fn op_bits(&self, op: &Operation) -> u32 {
-        self.kind_bits(op.kind)
-    }
-
-    /// Encoded size in bits of an op of each dense `opsel` code, in
-    /// dense order: the PLA's per-opcode lengths.
-    pub(crate) fn opsel_bits(&self) -> impl Iterator<Item = u32> + '_ {
-        self.templates.iter().map(|&kind| self.kind_bits(kind))
-    }
-
-    fn kind_bits(&self, kind: OpKind) -> u32 {
         let mut bits = self.header_width() + self.pr.width();
-        visit(kind, |f| bits += self.width(&f));
+        op.kind
+            .visit(|f, _| bits += self.layout(&f).map_or(0, |(width, _)| width));
         bits
     }
 
-    /// Width of a field under this spec.
-    fn width(&self, f: &Field<'_>) -> u32 {
-        match f {
-            Field::Gpr(_) => self.gpr.width(),
-            Field::Fpr(_) => self.fpr.width(),
-            Field::Pr(_) => self.pr.width(),
-            Field::Cond(_) => self.cond.width(),
-            Field::Mw(_) => self.mw.width(),
-            Field::Lat(_) => self.lat.width(),
-            Field::Sys(_) => self.sys.width(),
-            Field::Imm(_) => self.imm_width,
-            Field::Target(_) => self.target_width,
+    /// The renumbering table `t`.
+    pub(crate) fn table(&self, t: Table) -> &Remap {
+        match t {
+            Table::Gpr => &self.gpr,
+            Table::Fpr => &self.fpr,
+            Table::Pr => &self.pr,
+            Table::Cond => &self.cond,
+            Table::Mw => &self.mw,
+            Table::Lat => &self.lat,
+            Table::Sys => &self.sys,
         }
     }
 
-    /// The code a field is written as (only its low [`Self::width`] bits
-    /// are stored, which sign-truncates immediates).
-    fn code(&self, f: &Field<'_>) -> u64 {
-        u64::from(match f {
-            Field::Gpr(r) => self.gpr.enc(r.index() as u32),
-            Field::Fpr(r) => self.fpr.enc(r.index() as u32),
-            Field::Pr(r) => self.pr.enc(r.index() as u32),
-            Field::Cond(c) => self.cond.enc(**c as u32),
-            Field::Mw(w) => self.mw.enc(**w as u32),
-            Field::Lat(l) => self.lat.enc(**l as u32),
-            Field::Sys(s) => self.sys.enc(**s as u32),
-            Field::Imm(v) => **v as u32,
-            Field::Target(t) => u32::from(**t),
+    /// A payload field's width and map; `None` for bits the format fixes.
+    fn layout(&self, f: &Field<'_>) -> Option<(u32, Map)> {
+        Some(match (Table::of(f), f) {
+            (Some((t, field)), _) => (self.table(t).width(), Map::Table(t, field)),
+            (None, Field::Imm(_)) => (self.imm_width, Map::SignExtend),
+            (None, Field::Target(_)) => (self.target_width, Map::Raw),
+            _ => return None,
         })
     }
 
-    /// Reads one field's code and stores the value it stands for,
-    /// checked against the renumbering tables.
-    fn read(&self, f: Field<'_>, r: &mut BitReader<'_>) -> Result<(), BlockDecodeError> {
-        let code = r.read_bits(self.width(&f)).ok_or(BlockDecodeError::Eos)?;
-        let dense = |table: &Remap| table.dec(code as u32);
-        match f {
-            Field::Gpr(x) => *x = reg(&self.gpr, code, Gpr::try_new, "gpr")?,
-            Field::Fpr(x) => *x = reg(&self.fpr, code, Fpr::try_new, "fpr")?,
-            Field::Pr(x) => *x = reg(&self.pr, code, Pr::try_new, "pred dest")?,
-            Field::Cond(x) => {
-                *x = dense(&self.cond)
-                    .and_then(|v| Cond::ALL.get(v as usize).copied())
-                    .ok_or(bad("cond"))?;
-            }
-            Field::Mw(x) => *x = dense(&self.mw).map(decode_mw).ok_or(bad("mem width"))?,
-            Field::Lat(x) => *x = dense(&self.lat).ok_or(bad("load latency"))? as u8,
-            Field::Sys(x) => {
-                *x = match dense(&self.sys) {
-                    Some(1) => SysCode::PrintInt,
-                    Some(2) => SysCode::PrintChar,
-                    _ => return Err(bad("sys code")),
-                };
-            }
-            Field::Imm(x) => {
-                // Sign-extend from imm_width.
-                let shift = 32 - self.imm_width;
-                *x = ((code as u32) << shift) as i32 >> shift;
-            }
-            Field::Target(x) => *x = code as BlockTarget,
-        }
-        Ok(())
+    /// The placement of the ops whose opsel key is `key`.
+    fn placement(&self, key: u32) -> Placement {
+        let (opt, opcode) = (OpType::from_bits(u64::from(key / 32)), u64::from(key % 32));
+        let kind = OpKind::template(opt, opcode).expect("opsel keys come from the program's ops");
+        let mut base = op::OPT.place(opt as u64) | op::OPCODE.place(opcode);
+        let pred = Row {
+            width: self.pr.width(),
+            map: Map::Table(Table::Pr, "pred"),
+            at: op::PRED,
+        };
+        let mut rows = vec![pred];
+        kind.visit(|f, at| match self.layout(&f) {
+            Some((width, map)) => rows.push(Row { width, map, at }),
+            None => base |= at.place(f.raw()),
+        });
+        Placement { base, rows }
     }
 
+    /// The rows ahead of the opsel code: the tail bit, then the spec bit
+    /// (0 bits wide when unused).
+    pub(crate) fn head(&self) -> [Row; 2] {
+        let raw = |width, at| Row {
+            width,
+            map: Map::Raw,
+            at,
+        };
+        [raw(1, op::TAIL), raw(self.spec_used as u32, op::SPEC)]
+    }
+
+    /// The placement of each dense opsel code, in dense order.
+    pub(crate) fn placements(&self) -> &[Placement] {
+        &self.placements
+    }
+
+    /// Writes each row's code, read out of the op's TEPIC word.
     fn encode_op(&self, op: &Operation, w: &mut BitWriter) {
-        w.write_bit(op.tail);
-        if self.spec_used {
-            w.write_bit(op.spec);
+        let word = op.encode();
+        let opsel = self.opsel.enc(opsel_key(op));
+        let code = |row: &Row| {
+            let value = row.at.get(word);
+            match row.map {
+                Map::Table(t, _) => u64::from(self.table(t).enc(value as u32)),
+                Map::Raw | Map::SignExtend => value,
+            }
+        };
+        for row in &self.head() {
+            w.write_bits(code(row), row.width);
         }
-        w.write_bits(self.opsel.enc(opsel_key(op)) as u64, self.opsel.width());
-        w.write_bits(self.pr.enc(op.pred.index() as u32) as u64, self.pr.width());
-        visit(op.kind, |f| w.write_bits(self.code(&f), self.width(&f)));
+        w.write_bits(u64::from(opsel), self.opsel.width());
+        for row in &self.placements[opsel as usize].rows {
+            w.write_bits(code(row), row.width);
+        }
     }
 
-    /// Decodes one tailored operation.
+    /// Reads one tailored operation and expands it into its 40-bit TEPIC
+    /// word, row by row through its opsel code's placement. Every table
+    /// entry is a field value read out of one of the program's words, so
+    /// a code inside its table always expands to a defined value.
     ///
     /// # Errors
     ///
     /// [`BlockDecodeError::Eos`] when the bits run out mid-operation,
-    /// [`BlockDecodeError::BadValue`] when a dense field code falls
-    /// outside its renumbering table (corrupt stream or tables).
-    pub fn decode_op(&self, r: &mut BitReader<'_>) -> Result<Operation, BlockDecodeError> {
-        let mut bits = |n| r.read_bits(n).ok_or(BlockDecodeError::Eos);
-        let tail = bits(1)? != 0;
-        let spec = self.spec_used && bits(1)? != 0;
-        let opsel = bits(self.opsel.width())?;
-        let mut kind = *self.templates.get(opsel as usize).ok_or(bad("opsel"))?;
-        let pred = reg(&self.pr, bits(self.pr.width())?, Pr::try_new, "pred")?;
-        walk(&mut kind, |f| self.read(f, r))?;
-        Ok(Operation {
-            tail,
-            spec,
-            pred,
-            kind,
+    /// [`BlockDecodeError::BadValue`] when a dense code falls outside
+    /// its renumbering table (corrupt stream or tables).
+    pub fn expand(&self, r: &mut BitReader<'_>) -> Result<u64, BlockDecodeError> {
+        let mut word = 0;
+        for row in &self.head() {
+            word |= self.place(row, r)?;
+        }
+        let opsel = r
+            .read_bits(self.opsel.width())
+            .ok_or(BlockDecodeError::Eos)?;
+        let placement = self.placements.get(opsel as usize).ok_or(bad("opsel"))?;
+        for row in &placement.rows {
+            word |= self.place(row, r)?;
+        }
+        Ok(word | placement.base)
+    }
+
+    /// Reads one row's code and moves the value it stands for into the
+    /// row's TEPIC range.
+    fn place(&self, row: &Row, r: &mut BitReader<'_>) -> Result<u64, BlockDecodeError> {
+        let code = r.read_bits(row.width).ok_or(BlockDecodeError::Eos)?;
+        Ok(row.at.place(self.value(row, code)?))
+    }
+
+    /// The TEPIC field value that `code` stands for in `row`.
+    pub(crate) fn value(&self, row: &Row, code: u64) -> Result<u64, BlockDecodeError> {
+        Ok(match row.map {
+            Map::Raw => code,
+            Map::SignExtend => ((code << (64 - row.width)) as i64 >> (64 - row.width)) as u64,
+            Map::Table(t, field) => u64::from(self.table(t).dec(code as u32).ok_or(bad(field))?),
         })
     }
 
@@ -464,15 +418,6 @@ impl TailoredSpec {
     }
 }
 
-fn decode_mw(v: u32) -> MemWidth {
-    match v {
-        0 => MemWidth::Byte,
-        1 => MemWidth::Half,
-        2 => MemWidth::Word,
-        _ => MemWidth::Double,
-    }
-}
-
 /// The tailored encoding scheme.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TailoredScheme;
@@ -491,7 +436,7 @@ impl BlockCodec for TailoredCodec {
         let mut r = BitReader::at_bit(&image.bytes, image.block_start[b] * 8);
         let mut out = Vec::with_capacity(num_ops);
         for _ in 0..num_ops {
-            out.push(self.spec.decode_op(&mut r)?.encode());
+            out.push(self.spec.expand(&mut r)?);
         }
         Ok(out)
     }

@@ -1,10 +1,11 @@
 //! Bit-level field layouts of the seven TEPIC operation formats
 //! (paper Appendix, Table 2).
 //!
-//! The layouts are data for the Table 2 printer (`render_table2`) used
-//! by the experiment harness. The encoder and decoder in [`crate::op`]
-//! carry their own field offsets, and the tailored scheme lists each
-//! operation kind's fields in `ccc-core`.
+//! The layouts are Table 2 data, for the Table 2 printer
+//! (`render_table2`) used by the experiment harness. The encoding itself
+//! is [`crate::op::OpKind::walk`]: each operation kind's payload fields
+//! with their bit ranges, which the encoder, the decoder and the tailored
+//! ISA in `ccc-core` all read.
 
 use std::fmt;
 

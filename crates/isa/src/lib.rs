@@ -12,7 +12,10 @@
 //!   paper's Appendix Table 2 ([`format::OpFormat`]), from which that
 //!   table is printed;
 //! * a typed, decoded operation representation ([`op::Operation`]) with
-//!   lossless 40-bit [`op::Operation::encode`] / [`op::Operation::decode`];
+//!   lossless 40-bit [`op::Operation::encode`] / [`op::Operation::decode`],
+//!   both reading one per-kind field walk ([`op::OpKind::walk`]: each
+//!   payload field with its bit range) and one `(OPT, OPCODE)` → kind
+//!   table ([`op::OpKind::template`]);
 //! * zero-NOP *MultiOps* (VLIW issue groups delimited by tail bits,
 //!   [`mop`]);
 //! * whole-program images ([`image::Program`]) carrying basic-block

@@ -39,6 +39,13 @@ rm -rf "$CCC_SMOKE_DIR"
 rm -rf "$CCC_SMOKE_DIR"
 echo "cold run reproduces results/fig05_compression.txt; warm rerun fully cache-served"
 
+echo "==> tailored decoder Verilog golden"
+# The Verilog is printed from the tailored placement table that the
+# decoder interprets, so any change to either shows up here.
+./target/release/tepic-cc verilog crates/workloads/src/programs/li.tink |
+    cmp - results/tailored_decoder_li.v
+echo "tepic-cc verilog reproduces results/tailored_decoder_li.v"
+
 echo "==> trace/metrics reconciliation smoke (base + all five schemes)"
 # CCC_TRACE_SMOKE=1 implies --check: each emitted Chrome trace must be
 # well-formed JSON with every required pipeline-stage span present for

@@ -6,6 +6,9 @@ use tepic_ccc::ccc::schemes::{self, standard_schemes, Scheme};
 use tepic_ccc::ccc::AddressTranslationTable;
 use tepic_ccc::prelude::*;
 
+#[path = "support/verilog_eval.rs"]
+mod verilog_eval;
+
 #[test]
 fn every_workload_round_trips_every_scheme() {
     for w in &workloads::ALL {
@@ -154,6 +157,16 @@ fn tailored_verilog_op_len_is_each_opcodes_encoded_size() {
             let (opt, opc) = op.opt_opcode();
             let dense = spec.opsel.enc(opt as u32 * 32 + opc as u32);
             assert_eq!(op_len[&dense], spec.op_bits(op), "{}: {op:?}", w.name);
+        }
+    }
+}
+
+#[test]
+fn tailored_verilog_expands_every_op_to_its_word() {
+    for w in &workloads::ALL {
+        let program = w.compile().unwrap();
+        if let Err(e) = verilog_eval::check_tailored_verilog(&program) {
+            panic!("{}: {e}", w.name);
         }
     }
 }

@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use tepic_ccc::ccc::schemes::standard_schemes;
+use tepic_ccc::ccc::schemes::tailored::TailoredScheme;
 use tepic_ccc::huffman::{BitReader, BitWriter, CodeBook};
 use tepic_ccc::isa::op::{
     Cond, FloatOpcode, IntOpcode, MemWidth, OpKind, Operation, SysCode, IMM_MAX, IMM_MIN,
@@ -11,6 +12,9 @@ use tepic_ccc::isa::op::{
 use tepic_ccc::isa::regs::{Fpr, Gpr, Pr};
 use tepic_ccc::isa::{BlockInfo, FuncInfo, Program};
 use tepic_ccc::prelude::*;
+
+#[path = "support/verilog_eval.rs"]
+mod verilog_eval;
 
 fn gpr() -> impl Strategy<Value = Gpr> {
     (0u8..32).prop_map(Gpr::new)
@@ -344,7 +348,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every compression scheme is lossless on arbitrary valid programs,
-    /// and the tailored encoding never expands an op beyond 40 bits.
+    /// the tailored encoding never expands an op beyond 40 bits, and its
+    /// decoder table and Verilog expand each op back to its word.
     #[test]
     fn schemes_lossless_on_arbitrary_programs(p in small_program()) {
         for scheme in standard_schemes() {
@@ -356,6 +361,18 @@ proptest! {
         for op in p.ops() {
             prop_assert!(spec.op_bits(op) <= 40);
         }
+        // The placement table expands each op's tailored bits to its word,
+        // and so does the Verilog printed from it (speculative bits and
+        // guards set).
+        let image = TailoredScheme.compress(&p).unwrap().image;
+        for b in 0..p.num_blocks() {
+            let mut r = BitReader::at_bit(&image.bytes, image.block_start[b] * 8);
+            for op in p.block_ops(b) {
+                prop_assert_eq!(spec.expand(&mut r), Ok(op.encode()), "{:?}", op);
+            }
+        }
+        let verilog = verilog_eval::check_tailored_verilog(&p);
+        prop_assert!(verilog.is_ok(), "{}", verilog.unwrap_err());
     }
 
     /// Flipping any single payload bit either raises a decoder error or
