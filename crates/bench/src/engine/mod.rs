@@ -1634,26 +1634,27 @@ mod tests {
             assert_eq!(roll[name].count, 2, "{name}: one span per compile");
         }
 
-        // Each opt span holds the optimizer's passes, in pipeline order,
-        // end to end inside it.
-        let pass_names: Vec<_> = lego::opt::PassTimes::default()
-            .passes()
-            .iter()
-            .map(|&(name, _)| name)
-            .collect();
-        for o in forest.nodes().iter().filter(|n| n.name == "opt") {
-            let kids: Vec<_> = forest.children_of(o.id).collect();
-            let names: Vec<_> = kids.iter().map(|k| k.name).collect();
-            assert_eq!(names, pass_names, "opt {}", o.detail);
-            let mut at = o.start_ns;
-            for k in &kids {
-                assert_eq!(k.start_ns, at, "{} {}", k.name, k.detail);
-                at = k.end_ns();
+        // Each opt span holds the optimizer's passes, and each sched
+        // span the scheduler's phases, in pipeline order, end to end
+        // inside it.
+        let times = lego::StageTimes::default();
+        for stage in ["opt", "sched"] {
+            let part_names: Vec<_> = times.parts_of(stage).iter().map(|&(n, _)| n).collect();
+            assert!(!part_names.is_empty(), "{stage} has parts");
+            for o in forest.nodes().iter().filter(|n| n.name == stage) {
+                let kids: Vec<_> = forest.children_of(o.id).collect();
+                let names: Vec<_> = kids.iter().map(|k| k.name).collect();
+                assert_eq!(names, part_names, "{stage} {}", o.detail);
+                let mut at = o.start_ns;
+                for k in &kids {
+                    assert_eq!(k.start_ns, at, "{} {}", k.name, k.detail);
+                    at = k.end_ns();
+                }
+                assert!(at <= o.end_ns(), "{stage} {}: parts overrun it", o.detail);
             }
-            assert!(at <= o.end_ns(), "opt {}: passes overrun it", o.detail);
-        }
-        for name in pass_names {
-            assert_eq!(roll[name].count, 2, "{name}: one span per compile");
+            for name in part_names {
+                assert_eq!(roll[name].count, 2, "{name}: one span per compile");
+            }
         }
 
         // The critical path descends from the latest-finishing root.

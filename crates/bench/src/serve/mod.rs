@@ -13,7 +13,7 @@
 //!   A repeated request is one lookup: no queue, no engine, no
 //!   simulation.
 //! * **Single-flight coalescing** — a `Flight` row holds the
-//!   [`FlightSlot`] of the request being built; concurrent requests with
+//!   `FlightSlot` of the request being built; concurrent requests with
 //!   the same text block on it and receive the identical response
 //!   bytes. A cold-key stampede runs exactly one build. When the job
 //!   ends, its row becomes `Done` or, on failure, goes away.

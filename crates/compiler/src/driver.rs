@@ -7,7 +7,7 @@ use crate::lang::{lower_program, parse, ParseError};
 use crate::machine::{layout_order, lower_function, ConstPool, DataLayout, DATA_BASE};
 use crate::opt::{optimize_module_timed, PassTimes};
 use crate::regalloc::{allocate, RegAllocError};
-use crate::sched::schedule_function;
+use crate::sched::{schedule_function_timed, SchedTimes};
 use std::fmt;
 use std::time::{Duration, Instant};
 use tepic_isa::Program;
@@ -100,6 +100,8 @@ pub struct StageTimes {
     pub emit: Duration,
     /// The optimizer's passes, inside `opt`.
     pub opt_passes: PassTimes,
+    /// The scheduler's phases, inside `sched`.
+    pub sched_phases: SchedTimes,
 }
 
 impl StageTimes {
@@ -117,10 +119,12 @@ impl StageTimes {
     }
 
     /// The timed parts of `stage` as `(name, time)`, in pipeline order:
-    /// the optimizer's passes for `opt`, none for the other stages.
+    /// the optimizer's passes for `opt`, the scheduler's phases for
+    /// `sched`, none for the other stages.
     pub fn parts_of(&self, stage: &str) -> Vec<(&'static str, Duration)> {
         match stage {
             "opt" => self.opt_passes.passes().to_vec(),
+            "sched" => self.sched_phases.phases().to_vec(),
             _ => Vec::new(),
         }
     }
@@ -213,7 +217,9 @@ fn build(
     let mut scheduled = Vec::with_capacity(machined.len());
     for mut mf in machined {
         timed(&mut times.regalloc, || allocate(&mut mf)).map_err(CompileError::RegAlloc)?;
-        let s = timed(&mut times.sched, || schedule_function(&mf));
+        let s = timed(&mut times.sched, || {
+            schedule_function_timed(&mf, &mut times.sched_phases)
+        });
         scheduled.push((mf, s));
     }
 

@@ -71,12 +71,12 @@ pub fn emit_program(
     let mut layouts: Vec<FnLayout> = Vec::with_capacity(funcs.len());
     let mut next_global = 0u32;
     for (_, sched) in funcs {
-        let nb = sched.blocks.len();
+        let nb = sched.num_blocks();
         let mut kept = Vec::new();
         let mut kept_id = vec![u32::MAX; nb];
-        for (bi, cycles) in sched.blocks.iter().enumerate() {
-            if !cycles.is_empty() {
-                kept_id[bi] = next_global + kept.len() as u32;
+        for (bi, id) in kept_id.iter_mut().enumerate() {
+            if sched.mops(bi).len() > 0 {
+                *id = next_global + kept.len() as u32;
                 kept.push(bi);
             }
         }
@@ -107,20 +107,18 @@ pub fn emit_program(
         let lay = &layouts[fi];
         let first_block = blocks.len();
         for &bi in &lay.kept {
-            let cycles = &sched.blocks[bi];
+            let insts = &mf.blocks[bi].insts;
             let first_op = ops.len();
-            let mut num_ops = 0usize;
-            for cycle in cycles {
-                for (k, inst) in cycle.iter().enumerate() {
-                    let tail = k + 1 == cycle.len();
-                    ops.push(lower_inst(inst, tail, lay, &layouts));
-                    num_ops += 1;
+            for mop in sched.mops(bi) {
+                for (k, &i) in mop.iter().enumerate() {
+                    let tail = k + 1 == mop.len();
+                    ops.push(lower_inst(&insts[i as usize], tail, lay, &layouts));
                 }
             }
             blocks.push(BlockInfo {
                 first_op,
-                num_ops,
-                num_mops: cycles.len(),
+                num_ops: ops.len() - first_op,
+                num_mops: sched.mops(bi).len(),
                 func: fi,
             });
         }

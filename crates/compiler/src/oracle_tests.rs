@@ -1,4 +1,5 @@
-//! The dense dataflow checked against the hash-set code it replaced.
+//! The dense dataflow and the allocation-free scheduler checked against
+//! the code they replaced.
 //!
 //! The optimizer is driven round by round as [`crate::opt::optimize_module`]
 //! drives it, and every function DCE or CSE is about to see is first run
@@ -10,14 +11,26 @@
 //! programs, and random IR functions whose few registers are redefined
 //! all the time (lowered Tink computes into fresh temporaries, so it
 //! seldom redefines an operand or holder of an available expression).
+//!
+//! The scheduler must issue every block in the same cycles as the
+//! hash-map list scheduler ([`reference_schedule_block`]): every block of
+//! the paper programs and of random Tink programs, compiled as the
+//! driver compiles them, and random machine blocks over a few physical
+//! registers with loads, stores, system calls and block enders.
 
 use crate::dataflow::VRegSets;
 use crate::lang::{lower_program, parse};
 use crate::liveness::{self, Liveness};
-use crate::machine::{layout_order, lower_function, ConstPool, DataLayout, DATA_BASE};
+use crate::machine::{
+    layout_order, lower_function, ConstPool, DataLayout, MBlock, MFunction, MInst, MReg, DATA_BASE,
+};
 use crate::opt::{constfold, copyprop, cse, dce, simplify};
+use crate::regalloc::allocate;
+use crate::sched::{latency, schedule_function};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use tepic_isa::op::{Cond as ICond, FloatOpcode, IntOpcode, MemWidth, SysCode};
+use tepic_isa::{ISSUE_WIDTH, MEM_SLOTS};
 use tinker_ir::{
     BlockRef, Cond, FBinOp, FuncId, Function, FunctionBuilder, IBinOp, IUnOp, Inst, Module,
     RegClass, Terminator, VReg, Width,
@@ -123,6 +136,216 @@ fn check_program(src: &str) -> Result<(), String> {
 fn paper_programs_match_the_reference_dataflow() {
     for (name, src) in PAPER {
         check_program(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+}
+
+/// The list scheduler as it was before its dependence build went dense:
+/// hash maps of last writers and readers per register, a `Vec` of
+/// successors per instruction and one per cycle. Returns each cycle's
+/// instruction indices, ascending.
+fn reference_schedule_block(insts: &[MInst]) -> Vec<Vec<usize>> {
+    fn reg_key(class: RegClass, r: MReg) -> (u8, u8) {
+        let c = match class {
+            RegClass::Int => 0,
+            RegClass::Float => 1,
+            RegClass::Pred => 2,
+        };
+        (c, r.phys())
+    }
+    let is_store = |inst: &MInst| matches!(inst, MInst::Store { .. } | MInst::FStore { .. });
+    let is_load = |inst: &MInst| matches!(inst, MInst::Load { .. } | MInst::FLoad { .. });
+    let n = insts.len();
+    if n == 0 {
+        return vec![];
+    }
+    let mut succ: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
+    let mut npred: Vec<u32> = vec![0; n];
+    let add_edge =
+        |succ: &mut Vec<Vec<(usize, u32)>>, npred: &mut Vec<u32>, a: usize, b: usize, d: u32| {
+            succ[a].push((b, d));
+            npred[b] += 1;
+        };
+    let mut last_def: HashMap<(u8, u8), usize> = HashMap::new();
+    let mut readers: HashMap<(u8, u8), Vec<usize>> = HashMap::new();
+    let mut last_store: Option<usize> = None;
+    let mut loads_since_store: Vec<usize> = Vec::new();
+    let mut last_sys: Option<usize> = None;
+    for (i, inst) in insts.iter().enumerate() {
+        for (class, r) in inst.uses() {
+            let key = reg_key(class, r);
+            if key == (0, 0) {
+                continue;
+            }
+            if let Some(&d) = last_def.get(&key) {
+                add_edge(&mut succ, &mut npred, d, i, latency(&insts[d]));
+            }
+            readers.entry(key).or_default().push(i);
+        }
+        for (class, r) in inst.defs() {
+            let key = reg_key(class, r);
+            if key == (0, 0) {
+                continue;
+            }
+            if let Some(&d) = last_def.get(&key) {
+                add_edge(&mut succ, &mut npred, d, i, 1);
+            }
+            if let Some(rs) = readers.get(&key) {
+                for &r_i in rs {
+                    if r_i != i {
+                        add_edge(&mut succ, &mut npred, r_i, i, 0);
+                    }
+                }
+            }
+            last_def.insert(key, i);
+            readers.insert(key, vec![]);
+        }
+        if is_load(inst) {
+            if let Some(s) = last_store {
+                add_edge(&mut succ, &mut npred, s, i, 1);
+            }
+            if let Some(s) = last_sys {
+                add_edge(&mut succ, &mut npred, s, i, 1);
+            }
+            loads_since_store.push(i);
+        }
+        if is_store(inst) {
+            if let Some(s) = last_store {
+                add_edge(&mut succ, &mut npred, s, i, 1);
+            }
+            for &l in &loads_since_store {
+                add_edge(&mut succ, &mut npred, l, i, 0);
+            }
+            if let Some(s) = last_sys {
+                add_edge(&mut succ, &mut npred, s, i, 1);
+            }
+            last_store = Some(i);
+            loads_since_store.clear();
+        }
+        if matches!(inst, MInst::Sys { .. }) {
+            if let Some(s) = last_sys {
+                add_edge(&mut succ, &mut npred, s, i, 1);
+            }
+            if let Some(s) = last_store {
+                add_edge(&mut succ, &mut npred, s, i, 1);
+            }
+            for &l in &loads_since_store {
+                add_edge(&mut succ, &mut npred, l, i, 0);
+            }
+            last_sys = Some(i);
+        }
+        if inst.is_block_end() {
+            for j in 0..i {
+                add_edge(&mut succ, &mut npred, j, i, 0);
+            }
+        }
+    }
+
+    let mut height = vec![0u32; n];
+    for i in (0..n).rev() {
+        for &(j, d) in &succ[i] {
+            height[i] = height[i].max(height[j] + d.max(1));
+        }
+    }
+
+    let mut earliest = vec![0u32; n];
+    let mut remaining = npred;
+    let mut scheduled = vec![false; n];
+    let mut cycles: Vec<Vec<usize>> = Vec::new();
+    let mut done = 0usize;
+    let mut cycle = 0u32;
+    while done < n {
+        let mut issued_this_cycle: Vec<usize> = Vec::new();
+        let mut mem_used = 0usize;
+        loop {
+            let mut best: Option<usize> = None;
+            for i in 0..n {
+                if scheduled[i] || remaining[i] > 0 || earliest[i] > cycle {
+                    continue;
+                }
+                if insts[i].is_mem() && mem_used >= MEM_SLOTS {
+                    continue;
+                }
+                if issued_this_cycle.len() >= ISSUE_WIDTH {
+                    continue;
+                }
+                if best.is_none_or(|b| {
+                    (height[i], std::cmp::Reverse(i)) > (height[b], std::cmp::Reverse(b))
+                }) {
+                    best = Some(i);
+                }
+            }
+            let Some(pick) = best else { break };
+            scheduled[pick] = true;
+            issued_this_cycle.push(pick);
+            if insts[pick].is_mem() {
+                mem_used += 1;
+            }
+            done += 1;
+            for &(j, d) in &succ[pick] {
+                remaining[j] -= 1;
+                earliest[j] = earliest[j].max(cycle + d);
+            }
+        }
+        if !issued_this_cycle.is_empty() {
+            issued_this_cycle.sort_unstable();
+            cycles.push(issued_this_cycle);
+        }
+        cycle += 1;
+        assert!(cycle < 16 * n as u32 + 16, "scheduler stuck");
+    }
+    cycles
+}
+
+/// Schedules `mf` and compares each block with the reference.
+fn check_sched(mf: &MFunction) -> Result<(), String> {
+    let s = schedule_function(mf);
+    if s.num_blocks() != mf.blocks.len() {
+        return Err(format!("{}: {} blocks scheduled", mf.name, s.num_blocks()));
+    }
+    for (b, block) in mf.blocks.iter().enumerate() {
+        let got: Vec<Vec<usize>> = s
+            .mops(b)
+            .map(|mop| mop.iter().map(|&i| i as usize).collect())
+            .collect();
+        let want = reference_schedule_block(&block.insts);
+        if got != want {
+            return Err(format!(
+                "{}: block {b} issued {got:?}, reference {want:?}",
+                mf.name
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Compiles `src` as the driver does, up to register allocation, and
+/// checks the schedule of every function.
+fn check_program_sched(src: &str, opts: &crate::Options) -> Result<(), String> {
+    let ast = parse(src).map_err(|e| e.to_string())?;
+    let mut m = lower_program(&ast).map_err(|e| e.to_string())?;
+    if opts.optimize {
+        crate::opt::optimize_module(&mut m, opts.opt_iters);
+    }
+    let layout = DataLayout::new(&m, DATA_BASE);
+    let mut pool = ConstPool::default();
+    for f in m.funcs() {
+        let mut mf = lower_function(&m, f, &layout_order(f), &layout, &mut pool);
+        allocate(&mut mf).map_err(|e| e.to_string())?;
+        check_sched(&mf)?;
+    }
+    Ok(())
+}
+
+#[test]
+fn paper_programs_schedule_as_the_reference() {
+    let unoptimized = crate::Options {
+        optimize: false,
+        ..crate::Options::default()
+    };
+    for (name, src) in PAPER {
+        for opts in [&crate::Options::default(), &unoptimized] {
+            check_program_sched(src, opts).unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
     }
 }
 
@@ -279,6 +502,22 @@ proptest! {
         prop_assert!(check_program(&src).is_ok(), "{:?}\n{src}", check_program(&src));
     }
 
+    /// Random Tink programs schedule as the reference.
+    #[test]
+    fn random_programs_schedule_as_the_reference(seed in any::<u64>()) {
+        let src = random_program(seed);
+        let checked = check_program_sched(&src, &crate::Options::default());
+        prop_assert!(checked.is_ok(), "{:?}\n{src}", checked);
+    }
+
+    /// Random machine blocks over a few physical registers schedule as
+    /// the reference, one by one and in one function.
+    #[test]
+    fn random_machine_blocks_schedule_as_the_reference(seed in any::<u64>()) {
+        let mf = random_machine_function(seed);
+        prop_assert!(check_sched(&mf).is_ok(), "{:?}", check_sched(&mf));
+    }
+
     /// Random IR functions over a handful of registers: CSE and DCE, run
     /// on them and on what each pass leaves, match their references.
     #[test]
@@ -388,4 +627,130 @@ fn random_function(seed: u64) -> Function {
         b.set_term(blk, term);
     }
     b.finish()
+}
+
+/// A machine function of one to three blocks of 0-100 allocated
+/// instructions over r0-r3 and the link register r31, f0-f2 and p0-p2:
+/// ALU, compare, convert, copy, loads, stores and system calls, with a
+/// block ender (branch, call, return or halt) closing most blocks. The
+/// instruction mix is what the dependence rules tell apart: latencies of
+/// 1, 2, 3 and 8 cycles, memory and system ordering, the hardwired r0,
+/// and calls that read argument registers and write r1 and r31.
+fn random_machine_function(seed: u64) -> MFunction {
+    let mut g = Gen(seed);
+    let blocks = (0..=g.below(3))
+        .map(|_| {
+            let mut insts: Vec<MInst> = (0..g.below(101)).map(|_| random_minst(&mut g)).collect();
+            if !insts.is_empty() && g.below(4) > 0 {
+                let last = insts.len() - 1;
+                insts[last] = random_block_ender(&mut g);
+            }
+            MBlock { insts }
+        })
+        .collect();
+    MFunction {
+        name: format!("random-{seed}"),
+        blocks,
+        vclass: Vec::new(),
+        nargs: 0,
+    }
+}
+
+fn random_minst(g: &mut Gen) -> MInst {
+    let gpr = |g: &mut Gen| MReg::Phys([0, 1, 2, 3, 31][g.below(5) as usize]);
+    let fpr = |g: &mut Gen| MReg::Phys(g.below(3) as u8);
+    let pr = |g: &mut Gen| MReg::Phys(g.below(3) as u8);
+    let width = |g: &mut Gen| [MemWidth::Byte, MemWidth::Word][g.below(2) as usize];
+    match g.below(14) {
+        0 | 1 => MInst::IntAlu {
+            op: [
+                IntOpcode::Add,
+                IntOpcode::Mul,
+                IntOpcode::Div,
+                IntOpcode::Rem,
+            ][g.below(4) as usize],
+            dst: gpr(g),
+            a: gpr(g),
+            b: gpr(g),
+        },
+        2 => MInst::LoadImm {
+            high: false,
+            imm: g.below(100) as i32,
+            dst: gpr(g),
+        },
+        3 => MInst::Float {
+            op: [FloatOpcode::Fadd, FloatOpcode::Fdiv][g.below(2) as usize],
+            dst: fpr(g),
+            a: fpr(g),
+            b: fpr(g),
+        },
+        4 => MInst::CvtIf {
+            dst: fpr(g),
+            a: gpr(g),
+        },
+        5 => MInst::CvtFi {
+            dst: gpr(g),
+            a: fpr(g),
+        },
+        6 => MInst::IntCmp {
+            cond: ICond::Lt,
+            dst: pr(g),
+            a: gpr(g),
+            b: gpr(g),
+        },
+        7 => MInst::FloatCmp {
+            cond: ICond::Eq,
+            dst: pr(g),
+            a: fpr(g),
+            b: fpr(g),
+        },
+        8 => MInst::Copy {
+            class: RegClass::Float,
+            dst: fpr(g),
+            src: fpr(g),
+        },
+        9 => MInst::Load {
+            width: width(g),
+            dst: gpr(g),
+            base: gpr(g),
+        },
+        10 => MInst::FLoad {
+            dst: fpr(g),
+            base: gpr(g),
+        },
+        11 => MInst::Store {
+            width: width(g),
+            base: gpr(g),
+            value: gpr(g),
+        },
+        12 => MInst::FStore {
+            base: gpr(g),
+            value: fpr(g),
+        },
+        _ => MInst::Sys {
+            code: SysCode::PrintInt,
+            arg: gpr(g),
+        },
+    }
+}
+
+fn random_block_ender(g: &mut Gen) -> MInst {
+    match g.below(5) {
+        0 => MInst::Branch {
+            pred: Some(MReg::Phys(g.below(3) as u8)),
+            target: 0,
+        },
+        1 => MInst::Branch {
+            pred: None,
+            target: 0,
+        },
+        2 => MInst::Call {
+            callee: FuncId(0),
+            nargs: g.below(7) as u8,
+        },
+        3 => MInst::Ret {
+            addr: MReg::Phys(31),
+        },
+        _ => MInst::Halt,
+    }
 }

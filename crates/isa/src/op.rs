@@ -864,26 +864,6 @@ impl Operation {
                 | OpKind::FStore { .. }
         )
     }
-
-    /// Result latency in cycles assumed by the LEGO scheduler.
-    pub fn latency(&self) -> u32 {
-        match self.kind {
-            OpKind::Load { .. } | OpKind::FLoad { .. } => 2,
-            OpKind::IntAlu {
-                op: IntOpcode::Mul, ..
-            } => 3,
-            OpKind::IntAlu {
-                op: IntOpcode::Div | IntOpcode::Rem,
-                ..
-            } => 8,
-            OpKind::Float {
-                op: FloatOpcode::Fdiv,
-                ..
-            } => 8,
-            OpKind::Float { .. } | OpKind::CvtIf { .. } | OpKind::CvtFi { .. } => 2,
-            _ => 1,
-        }
-    }
 }
 
 impl fmt::Display for Operation {
@@ -1530,7 +1510,7 @@ mod tests {
     }
 
     #[test]
-    fn mem_classification_and_latency() {
+    fn mem_classification() {
         let op = Operation {
             tail: true,
             spec: false,
@@ -1543,7 +1523,6 @@ mod tests {
             },
         };
         assert!(op.is_mem());
-        assert_eq!(op.latency(), 2);
-        assert_eq!(Operation::nop().latency(), 1);
+        assert!(!Operation::nop().is_mem());
     }
 }

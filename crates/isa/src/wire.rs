@@ -8,7 +8,7 @@
 //! implicit layout — the format is the documentation.
 //!
 //! The module also hosts the stable content hashes ([`fnv1a64`],
-//! [`fnv1a128`]) used to derive cache keys. They are defined here, at the
+//! [`Fnv128`]) used to derive cache keys. They are defined here, at the
 //! bottom of the crate graph, so every layer fingerprints data the same
 //! way.
 

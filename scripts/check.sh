@@ -197,6 +197,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings"
+# Broken, ambiguous or private intra-doc links fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> committed results/ unchanged"
 if [ "${CCC_RESULTS_BEFORE+set}" = "set" ]; then
     if [ "$(git status --porcelain -- results/)" != "$CCC_RESULTS_BEFORE" ]; then

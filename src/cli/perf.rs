@@ -293,12 +293,13 @@ fn attr(args: &EngineArgs, env: Env) -> Result<(), String> {
     }
 
     // lego's stages are children of each compile span, and the
-    // optimizer's passes children of each opt span, laid end to end:
-    // they may leave a gap but never add up to more than their parent.
+    // optimizer's passes and the scheduler's phases children of each opt
+    // and sched span, laid end to end: they may leave a gap but never
+    // add up to more than their parent.
     for c in forest
         .nodes()
         .iter()
-        .filter(|n| n.name == "compile" || n.name == "opt")
+        .filter(|n| matches!(n.name, "compile" | "opt" | "sched"))
     {
         let parts: u64 = forest.children_of(c.id).map(|k| k.dur_ns).sum();
         if parts > c.dur_ns {
@@ -324,7 +325,7 @@ fn attr(args: &EngineArgs, env: Env) -> Result<(), String> {
         text,
         "\nper-stage rollup (compile, emulate, encode and report reconcile exactly with \
          the engine timers; lego's stages sum to at most compile, its optimizer passes \
-         to at most opt):"
+         to at most opt, its scheduler phases to at most sched):"
     );
     for (stage, r) in &roll {
         let _ = writeln!(

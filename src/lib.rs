@@ -17,7 +17,7 @@
 //! * [`fetch`] — the IFetch simulator (banked ICache, ATB + branch
 //!   prediction, L0 buffer, Table-1 cycle model, bus power);
 //! * [`workloads`] — eight SPECint95-class benchmark stand-ins;
-//! * [`bench`] — the experiment harness: the parallel prepared-workload
+//! * [`mod@bench`] — the experiment harness: the parallel prepared-workload
 //!   engine with its content-addressed artifact cache, and the pure
 //!   figure renderers;
 //! * [`telemetry`] — the unified observability layer: metrics registry,
