@@ -35,8 +35,7 @@
 use ccc_bench::engine::cache::write_atomic;
 use ccc_bench::history::{self, SentinelConfig};
 use ccc_core::schemes::stream::StreamConfig;
-use ccc_core::schemes::{byte::ByteScheme, full::FullScheme, pair::PairScheme};
-use ccc_core::schemes::{stream::StreamScheme, BlockCodec, Scheme};
+use ccc_core::schemes::{by_name, BlockCodec, Scheme};
 use ccc_telemetry::ledger::{self, Fingerprint};
 use criterion::{BenchmarkGroup, Criterion};
 use std::fmt::Write as _;
@@ -244,15 +243,6 @@ fn pair_workload(p: &Program) -> DecodeWorkload {
     DecodeWorkload::new(vec![pair_book, single_book], order, syms)
 }
 
-fn scheme_for(name: &'static str) -> Box<dyn Scheme> {
-    match name {
-        "byte" => Box::new(ByteScheme::default()),
-        "full" => Box::new(FullScheme::default()),
-        "pair" => Box::new(PairScheme::default()),
-        other => Box::new(StreamScheme::named(other).unwrap()),
-    }
-}
-
 /// One scheme measured across every workload program: the kernel
 /// workloads plus the real-image batch loads.
 struct SchemeRow {
@@ -271,7 +261,7 @@ fn build_row(scheme: &'static str, programs: &[(String, Program)]) -> SchemeRow 
             other => stream_workload(p, other),
         })
         .collect();
-    let sch = scheme_for(scheme);
+    let sch = by_name(scheme).expect("a named scheme");
     let batches = programs
         .iter()
         .map(|(_, p)| {

@@ -161,31 +161,26 @@ pub struct EngineSnapshot {
     pub image_hits: u64,
     /// Cache misses for encoded images.
     pub image_misses: u64,
-    /// Cache hits for compression reports.
-    pub report_hits: u64,
-    /// Cache misses for compression reports.
-    pub report_misses: u64,
     /// Entries found damaged (bad CRC/magic/decode) and rebuilt.
     pub corrupt_entries: u64,
     /// Wall-clock nanoseconds spent compiling (cold path only).
     pub compile_ns: u64,
     /// Wall-clock nanoseconds spent emulating (cold path only).
     pub emulate_ns: u64,
-    /// Wall-clock nanoseconds spent encoding images (cold path only).
+    /// Wall-clock nanoseconds spent encoding images and verifying their
+    /// round trip (cold path only).
     pub encode_ns: u64,
-    /// Wall-clock nanoseconds spent building reports (cold path only).
-    pub report_ns: u64,
 }
 
 impl EngineSnapshot {
     /// Total cache hits across artifact kinds.
     pub fn hits(&self) -> u64 {
-        self.program_hits + self.trace_hits + self.image_hits + self.report_hits
+        self.program_hits + self.trace_hits + self.image_hits
     }
 
     /// Total cache misses across artifact kinds.
     pub fn misses(&self) -> u64 {
-        self.program_misses + self.trace_misses + self.image_misses + self.report_misses
+        self.program_misses + self.trace_misses + self.image_misses
     }
 
     /// Renders the per-stage wall clock and hit/miss table the bench
@@ -195,22 +190,19 @@ impl EngineSnapshot {
         let mut out = String::new();
         out.push_str("engine: stage wall-clock (cold work only) and cache traffic\n");
         out.push_str(&format!(
-            "  compile {:>9.1} ms   emulate {:>9.1} ms   encode {:>9.1} ms   report {:>9.1} ms\n",
+            "  compile {:>9.1} ms   emulate {:>9.1} ms   encode {:>9.1} ms\n",
             ms(self.compile_ns),
             ms(self.emulate_ns),
             ms(self.encode_ns),
-            ms(self.report_ns),
         ));
         out.push_str(&format!(
-            "  cache   program {}/{}   trace {}/{}   image {}/{}   report {}/{}   (hit/miss)\n",
+            "  cache   program {}/{}   trace {}/{}   image {}/{}   (hit/miss)\n",
             self.program_hits,
             self.program_misses,
             self.trace_hits,
             self.trace_misses,
             self.image_hits,
             self.image_misses,
-            self.report_hits,
-            self.report_misses,
         ));
         if self.corrupt_entries > 0 {
             out.push_str(&format!(
@@ -227,15 +219,13 @@ impl EngineSnapshot {
     /// on every run, and the ledger records them itself
     /// (`history::engine_record`).
     pub fn record_metrics(&self, registry: &ccc_telemetry::MetricsRegistry) {
-        let pairs: [(&str, u64); 9] = [
+        let pairs: [(&str, u64); 7] = [
             ("engine.program_hits", self.program_hits),
             ("engine.program_misses", self.program_misses),
             ("engine.trace_hits", self.trace_hits),
             ("engine.trace_misses", self.trace_misses),
             ("engine.image_hits", self.image_hits),
             ("engine.image_misses", self.image_misses),
-            ("engine.report_hits", self.report_hits),
-            ("engine.report_misses", self.report_misses),
             ("engine.corrupt_entries", self.corrupt_entries),
         ];
         for (name, v) in pairs {
@@ -354,21 +344,19 @@ struct RecoveryCounters {
     backoff_ns: AtomicU64,
 }
 
+/// One artifact kind's cache traffic and cold-build wall clock.
+#[derive(Debug, Default)]
+struct KindCounters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    build_ns: AtomicU64,
+}
+
 #[derive(Debug, Default)]
 struct Counters {
-    program_hits: AtomicU64,
-    program_misses: AtomicU64,
-    trace_hits: AtomicU64,
-    trace_misses: AtomicU64,
-    image_hits: AtomicU64,
-    image_misses: AtomicU64,
-    report_hits: AtomicU64,
-    report_misses: AtomicU64,
+    /// Indexed by [`Kind`].
+    kinds: [KindCounters; 3],
     corrupt_entries: AtomicU64,
-    compile_ns: AtomicU64,
-    emulate_ns: AtomicU64,
-    encode_ns: AtomicU64,
-    report_ns: AtomicU64,
 }
 
 #[derive(Clone, Copy)]
@@ -376,7 +364,6 @@ enum Kind {
     Program,
     Trace,
     Image,
-    Report,
 }
 
 impl Kind {
@@ -385,7 +372,6 @@ impl Kind {
             Kind::Program => "program",
             Kind::Trace => "trace",
             Kind::Image => "image",
-            Kind::Report => "report",
         }
     }
 
@@ -396,7 +382,6 @@ impl Kind {
             Kind::Program => "compile",
             Kind::Trace => "emulate",
             Kind::Image => "encode",
-            Kind::Report => "report",
         }
     }
 
@@ -406,7 +391,6 @@ impl Kind {
             Kind::Program => sites::STAGE_COMPILE,
             Kind::Trace => sites::STAGE_EMULATE,
             Kind::Image => sites::STAGE_ENCODE,
-            Kind::Report => sites::STAGE_REPORT,
         }
     }
 }
@@ -570,7 +554,7 @@ impl Engine {
 
     /// Attaches a span sink: every cold build and every cache probe is
     /// recorded as a [`TraceEvent::Span`] named after its pipeline stage
-    /// (`compile`/`emulate`/`encode`/`report`, plus `cache-probe`).
+    /// (`compile`/`emulate`/`encode`, plus `cache-probe`).
     #[must_use]
     pub fn with_trace_sink(mut self, sink: SharedSink) -> Engine {
         self.sink = Some(sink);
@@ -594,22 +578,23 @@ impl Engine {
 
     /// Snapshot of counters and stage timers.
     pub fn snapshot(&self) -> EngineSnapshot {
-        let c = &self.counters;
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let [program, trace, image] = self
+            .counters
+            .kinds
+            .each_ref()
+            .map(|k| (g(&k.hits), g(&k.misses), g(&k.build_ns)));
         EngineSnapshot {
-            program_hits: g(&c.program_hits),
-            program_misses: g(&c.program_misses),
-            trace_hits: g(&c.trace_hits),
-            trace_misses: g(&c.trace_misses),
-            image_hits: g(&c.image_hits),
-            image_misses: g(&c.image_misses),
-            report_hits: g(&c.report_hits),
-            report_misses: g(&c.report_misses),
-            corrupt_entries: g(&c.corrupt_entries),
-            compile_ns: g(&c.compile_ns),
-            emulate_ns: g(&c.emulate_ns),
-            encode_ns: g(&c.encode_ns),
-            report_ns: g(&c.report_ns),
+            program_hits: program.0,
+            program_misses: program.1,
+            trace_hits: trace.0,
+            trace_misses: trace.1,
+            image_hits: image.0,
+            image_misses: image.1,
+            corrupt_entries: g(&self.counters.corrupt_entries),
+            compile_ns: program.2,
+            emulate_ns: trace.2,
+            encode_ns: image.2,
         }
     }
 
@@ -632,28 +617,8 @@ impl Engine {
         }
     }
 
-    fn bump(&self, kind: Kind, hit: bool) {
-        let c = &self.counters;
-        let ctr = match (kind, hit) {
-            (Kind::Program, true) => &c.program_hits,
-            (Kind::Program, false) => &c.program_misses,
-            (Kind::Trace, true) => &c.trace_hits,
-            (Kind::Trace, false) => &c.trace_misses,
-            (Kind::Image, true) => &c.image_hits,
-            (Kind::Image, false) => &c.image_misses,
-            (Kind::Report, true) => &c.report_hits,
-            (Kind::Report, false) => &c.report_misses,
-        };
-        ctr.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn timer_of(&self, kind: Kind) -> &AtomicU64 {
-        match kind {
-            Kind::Program => &self.counters.compile_ns,
-            Kind::Trace => &self.counters.emulate_ns,
-            Kind::Image => &self.counters.encode_ns,
-            Kind::Report => &self.counters.report_ns,
-        }
+    fn counters_of(&self, kind: Kind) -> &KindCounters {
+        &self.counters.kinds[kind as usize]
     }
 
     /// Probes the cache under the retry policy: transient read errors
@@ -766,7 +731,7 @@ impl Engine {
             match looked {
                 Lookup::Hit(payload) => match decode(&payload) {
                     Ok(v) => {
-                        self.bump(kind, true);
+                        self.counters_of(kind).hits.fetch_add(1, Ordering::Relaxed);
                         return Ok(v);
                     }
                     Err(_) => {
@@ -787,8 +752,9 @@ impl Engine {
         let start = self.clock.now_ns();
         let value = build(&mut sub_stages)?;
         let dur = self.clock.now_ns().saturating_sub(start);
-        self.timer_of(kind).fetch_add(dur, Ordering::Relaxed);
-        self.bump(kind, false);
+        let counters = self.counters_of(kind);
+        counters.build_ns.fetch_add(dur, Ordering::Relaxed);
+        counters.misses.fetch_add(1, Ordering::Relaxed);
         if let Some(sink) = &self.sink {
             // The span and the stage timer above are fed the same
             // start/dur pair, so `perf --attr`'s per-stage rollups
@@ -924,12 +890,16 @@ impl Engine {
     }
 
     /// The encoded image of `program` under `scheme` (cached) — one cell
-    /// of the preparation matrix.
+    /// of the preparation matrix. A cold build decodes every block of the
+    /// new image back before it is cached, so no image that fails its
+    /// round trip reaches a figure, the daemon or the cache.
     ///
     /// # Errors
     ///
-    /// [`PrepareError::Compress`] when the scheme rejects the program;
-    /// also if `scheme` names no known scheme.
+    /// [`PrepareError::Compress`] when the scheme rejects the program,
+    /// when the image does not round-trip (a
+    /// [`CompressError::Integrity`]), or when `scheme` names no known
+    /// scheme.
     pub fn image(
         &self,
         name: &str,
@@ -948,7 +918,7 @@ impl Engine {
             &key,
             ccc_core::encoded_from_bytes,
             ccc_core::encoded_to_bytes,
-            |_| encode(scheme, program).map(|out| out.image),
+            |_| verified(scheme, encode(scheme, program)?, program),
         )
     }
 
@@ -1017,8 +987,17 @@ impl Engine {
         }
     }
 
-    /// The full cross-scheme [`CompressionReport`] for `program`
-    /// (cached) — the data behind Figures 5, 7 and 10.
+    /// The cross-scheme [`CompressionReport`] for `program`, derived from
+    /// its base image and its [`MATRIX_SCHEMES`] images (each cached).
+    /// Serves `tepic-cc report`, which compiles a file rather than a
+    /// prepared workload; panics rather than returning an error only
+    /// because the benchmark harness (`perfbench/`) calls it by this
+    /// signature. The figure suite takes [`Prepared::report`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a scheme fails on `program` or its image does not
+    /// round-trip, as [`CompressionReport::build`] does.
     pub fn report(
         &self,
         name: &str,
@@ -1026,18 +1005,12 @@ impl Engine {
         opts: &lego::Options,
         program: &Program,
     ) -> CompressionReport {
-        let key = self.key(Kind::Report, name.to_string(), &|h| {
-            h.update_u32(CODEC_VERSION);
-            Self::source_parts(h, name, source, opts);
-        });
-        self.cached(
-            Kind::Report,
-            &key,
-            ccc_core::report_from_bytes,
-            ccc_core::report_to_bytes,
-            |_| Ok(CompressionReport::build(name, program)),
-        )
-        .expect("report build is infallible")
+        let mut images = vec![encode_base(program)];
+        for scheme in MATRIX_SCHEMES {
+            let image = self.image(name, source, opts, scheme, program);
+            images.push(image.unwrap_or_else(|e| panic!("{name}: {e}")));
+        }
+        CompressionReport::from_images(name, program, &images)
     }
 
     /// Panics the current pool job if the `pool.job` failpoint fires.
@@ -1281,57 +1254,6 @@ impl Engine {
         let list: Vec<&'static Workload> = tinker_workloads::ALL.iter().collect();
         self.prepare(&list)
     }
-
-    /// Builds (cached, in parallel) the per-workload compression reports
-    /// for already-prepared workloads. Report building is infallible, so
-    /// a job whose panic-retry budget runs out falls back to building
-    /// inline on the caller's thread (outside the `pool.job` failpoint).
-    pub fn reports(&self, prepared: &[Prepared]) -> Vec<CompressionReport> {
-        let opts = lego::Options::default();
-        // A root span bracketing the whole report pass; each report
-        // task runs under it so its stage spans parent correctly.
-        let root = self
-            .sink
-            .as_ref()
-            .map(|_| (self.next_span_id(), self.clock.now_ns()));
-        let root_id = root.map_or(0, |(id, _)| id);
-        let out = self.run_jobs_healed(
-            prepared
-                .iter()
-                .map(|p| {
-                    let opts = &opts;
-                    move || {
-                        pool::with_span(root_id, || {
-                            self.pool_job_admission();
-                            self.report(p.workload.name, p.workload.source(), opts, &p.program)
-                        })
-                    }
-                })
-                .collect(),
-        );
-        let reports = out
-            .into_iter()
-            .zip(prepared)
-            .map(|(r, p)| {
-                r.unwrap_or_else(|_| {
-                    pool::with_span(root_id, || {
-                        self.report(p.workload.name, p.workload.source(), &opts, &p.program)
-                    })
-                })
-            })
-            .collect();
-        if let (Some(sink), Some((id, start_ns))) = (&self.sink, root) {
-            sink.record(TraceEvent::Span {
-                name: "reports",
-                detail: format!("{} workloads", prepared.len()),
-                id,
-                parent: pool::current_span(),
-                start_ns,
-                dur_ns: self.clock.now_ns().saturating_sub(start_ns),
-            });
-        }
-        reports
-    }
 }
 
 /// Encodes `program` under the scheme named `scheme`.
@@ -1348,6 +1270,25 @@ fn encode(scheme: &str, program: &Program) -> Result<SchemeOutput, PrepareError>
         })?
         .compress(program)
         .map_err(compress_error)
+}
+
+/// The image of `out` once every block decodes back to `program`'s
+/// words; a [`CompressError::Integrity`] otherwise.
+fn verified(
+    scheme: &str,
+    out: SchemeOutput,
+    program: &Program,
+) -> Result<EncodedProgram, PrepareError> {
+    if out.verify_roundtrip(program) {
+        Ok(out.image)
+    } else {
+        Err(PrepareError::Compress {
+            scheme: scheme.to_string(),
+            error: CompressError::Integrity {
+                detail: "image does not round-trip",
+            },
+        })
+    }
 }
 
 /// Stable textual fingerprint of the compiler options that affect
@@ -1461,7 +1402,6 @@ mod tests {
             STEP * MATRIX_SCHEMES.len() as u64,
             "one encode build per matrix scheme"
         );
-        assert_eq!(snap.report_ns, 0, "no report requested");
     }
 
     #[test]
@@ -1554,14 +1494,13 @@ mod tests {
         use ccc_telemetry::SharedSink;
         let sink = SharedSink::new(1 << 12);
         let eng = Engine::uncached(8).with_trace_sink(sink.clone());
-        let prepared = eng.prepare(&[GOOD, ALSO_GOOD]).unwrap();
-        eng.reports(&prepared);
+        eng.prepare(&[GOOD, ALSO_GOOD]).unwrap();
         let events = sink.drain();
         let forest = SpanForest::build(&events).expect("well-formed span forest");
 
-        // Exactly two roots: the prepare pass and the report pass.
+        // Exactly one root: the prepare pass.
         let root_names: Vec<_> = forest.roots().map(|r| r.name).collect();
-        assert_eq!(root_names, vec!["prepare", "reports"]);
+        assert_eq!(root_names, vec!["prepare"]);
 
         // Every compile/emulate/encode span parents to a workload span
         // whose detail is its workload's name — across the worker pool
@@ -1584,7 +1523,6 @@ mod tests {
                         p.detail
                     );
                 }
-                "report" => assert_eq!(node_of(n.parent).name, "reports"),
                 _ => {}
             }
         }
@@ -1596,7 +1534,6 @@ mod tests {
         assert_eq!(roll["compile"].total_ns, snap.compile_ns);
         assert_eq!(roll["emulate"].total_ns, snap.emulate_ns);
         assert_eq!(roll["encode"].total_ns, snap.encode_ns);
-        assert_eq!(roll["report"].total_ns, snap.report_ns);
 
         // Each compile span holds lego's stages, in pipeline order, end
         // to end and summing to at most the compile itself.
@@ -1661,6 +1598,54 @@ mod tests {
         let path = forest.critical_path();
         assert!(!path.is_empty());
         assert_eq!(path[0].parent, 0);
+    }
+
+    #[test]
+    fn report_derives_from_the_cached_images() {
+        let dir = scratch("report");
+        let _ = std::fs::remove_dir_all(&dir);
+        let eng = Engine::with_cache_dir(2, &dir).unwrap();
+        let p = eng.prepare(&[GOOD]).unwrap().remove(0);
+        let (name, source) = (GOOD.name, GOOD.source());
+        let opts = lego::Options::default();
+        let before = eng.snapshot();
+        let report = eng.report(name, source, &opts, &p.program);
+        let after = eng.snapshot();
+        assert_eq!(report, p.report());
+        assert_eq!(report, CompressionReport::build(name, &p.program));
+        assert_eq!(after.misses(), before.misses(), "nothing rebuilt");
+        assert_eq!(
+            after.image_hits - before.image_hits,
+            MATRIX_SCHEMES.len() as u64,
+            "one image probe per matrix scheme"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_image_that_does_not_round_trip_is_a_typed_error() {
+        let opts = lego::Options::default();
+        let program = Engine::uncached(1)
+            .program(GOOD.name, GOOD.source(), &opts)
+            .unwrap();
+        for scheme in MATRIX_SCHEMES {
+            let out = encode(scheme, &program).unwrap();
+            assert!(verified(scheme, out, &program).is_ok(), "{scheme}");
+            // Every bit of the image flipped: it must not pass.
+            let mut out = encode(scheme, &program).unwrap();
+            out.image.bytes.iter_mut().for_each(|b| *b = !*b);
+            let err = verified(scheme, out, &program).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    PrepareError::Compress {
+                        scheme: s,
+                        error: CompressError::Integrity { .. }
+                    } if s == scheme
+                ),
+                "{scheme}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -68,7 +68,6 @@ pub fn engine_record(
         ("compile", snap.program_misses, snap.compile_ns),
         ("emulate", snap.trace_misses, snap.emulate_ns),
         ("encode", snap.image_misses, snap.encode_ns),
-        ("report", snap.report_misses, snap.report_ns),
     ] {
         rec.counters.insert(format!("engine.{stage}_ns"), total_ns);
         rec.stages

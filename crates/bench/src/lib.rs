@@ -27,7 +27,7 @@ pub mod figures;
 pub mod history;
 pub mod serve;
 
-use ccc_core::EncodedProgram;
+use ccc_core::{CompressionReport, EncodedProgram};
 use ifetch_sim::{simulate, EncodingClass, FetchConfig, FetchResult};
 use tepic_isa::Program;
 use tinker_workloads::Workload;
@@ -78,6 +78,13 @@ impl Prepared {
         engine::MATRIX_SCHEMES
             .into_iter()
             .map(|s| (s, self.image(s).expect("every matrix scheme is prepared")))
+    }
+
+    /// The Figure 5/7/10 report: one row for the base image, then one per
+    /// matrix image, each derived from the image itself.
+    pub fn report(&self) -> CompressionReport {
+        let images = std::iter::once(&self.base_img).chain(self.images().map(|(_, img)| img));
+        CompressionReport::from_images(self.workload.name, &self.program, images)
     }
 }
 

@@ -57,8 +57,6 @@ pub mod sites {
     pub const STAGE_EMULATE: &str = "stage.emulate";
     /// The encode stage build.
     pub const STAGE_ENCODE: &str = "stage.encode";
-    /// The report stage build.
-    pub const STAGE_REPORT: &str = "stage.report";
     /// The LUT Huffman fast path in the fetch simulator.
     pub const DECODE_LUT: &str = "decode.lut";
 }
@@ -453,7 +451,6 @@ mod tests {
             sites::STAGE_COMPILE,
             sites::STAGE_EMULATE,
             sites::STAGE_ENCODE,
-            sites::STAGE_REPORT,
         ] {
             assert_eq!(class_of(s), "stage");
         }

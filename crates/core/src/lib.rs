@@ -59,6 +59,4 @@ pub use fault::{CampaignConfig, CampaignReport, FaultInjector, FaultKind, FaultT
 pub use integrity::{crc32, crc8, parity_fold, IntegrityError};
 pub use report::{CompressionReport, SchemeRow};
 pub use retry::{RetryPolicy, RetryTrace};
-pub use serialize::{
-    encoded_from_bytes, encoded_to_bytes, report_from_bytes, report_to_bytes, CODEC_VERSION,
-};
+pub use serialize::{encoded_from_bytes, encoded_to_bytes, CODEC_VERSION};

@@ -49,7 +49,10 @@ pub fn tailored_decoder_cost(spec: &TailoredSpec) -> DecoderCost {
 /// row, as [`TailoredSpec::expand`] interprets it: the constant word,
 /// then each field's slice of `tailored_op` through its inverse map
 /// (sign-extended for the immediate, a constant when 0 bits wide).
-/// Codes outside a map decode to 0 here, where `expand` reports them.
+/// `op_bad` is set exactly where `expand` reports a
+/// [`BadValue`](crate::schemes::BlockDecodeError::BadValue): for an
+/// unused opsel code, and for a field code at or past the end of its
+/// map's table (the map itself decodes such a code to 0).
 pub fn emit_tailored_decoder_verilog(spec: &TailoredSpec, module_name: &str) -> String {
     let mut v = String::new();
     let hw = spec.header_width();
@@ -64,7 +67,8 @@ pub fn emit_tailored_decoder_verilog(spec: &TailoredSpec, module_name: &str) -> 
     let _ = writeln!(v, "module {module_name} (");
     let _ = writeln!(v, "    input  wire [63:0] tailored_op,");
     let _ = writeln!(v, "    output reg  [39:0] word,");
-    let _ = writeln!(v, "    output reg  [5:0]  op_len");
+    let _ = writeln!(v, "    output reg  [5:0]  op_len,");
+    let _ = writeln!(v, "    output reg         op_bad");
     let _ = writeln!(v, ");");
     if opw > 0 {
         let hi = 63 - (hw - opw);
@@ -103,9 +107,17 @@ pub fn emit_tailored_decoder_verilog(spec: &TailoredSpec, module_name: &str) -> 
             emit_row(&mut v, spec, row, &mut next);
         }
         next -= opw;
-        for row in &placement.rows {
-            emit_row(&mut v, spec, row, &mut next);
-        }
+        let bad: Vec<String> = placement
+            .rows
+            .iter()
+            .filter_map(|row| emit_row(&mut v, spec, row, &mut next))
+            .collect();
+        let bad = if bad.is_empty() {
+            "1'b0".to_string()
+        } else {
+            bad.join(" | ")
+        };
+        let _ = writeln!(v, "        op_bad = {bad};");
         let len = 64 - next;
         let _ = writeln!(
             v,
@@ -114,7 +126,10 @@ pub fn emit_tailored_decoder_verilog(spec: &TailoredSpec, module_name: &str) -> 
         );
         let _ = writeln!(v, "      end");
     }
-    let _ = writeln!(v, "      default: begin word = 40'd0; op_len = 6'd0; end");
+    let _ = writeln!(
+        v,
+        "      default: begin word = 40'd0; op_len = 6'd0; op_bad = 1'b1; end"
+    );
     let _ = writeln!(v, "    endcase");
     let _ = writeln!(v, "  end");
     let _ = writeln!(v, "endmodule");
@@ -130,10 +145,13 @@ fn slice(name: &str, hi: u32, width: u32) -> String {
     }
 }
 
-/// Prints one row's assignment into its TEPIC range of `word`.
-fn emit_row(v: &mut String, spec: &TailoredSpec, row: &Row, next: &mut u32) {
+/// Prints one row's assignment into its TEPIC range of `word`; returns
+/// the condition under which the row's code falls outside its table,
+/// if it can.
+fn emit_row(v: &mut String, spec: &TailoredSpec, row: &Row, next: &mut u32) -> Option<String> {
     let tw = row.at.width;
     let dst = slice("word", row.at.off + tw - 1, tw);
+    let mut bad = None;
     let rhs = if row.width == 0 {
         format!("{tw}'d{}", spec.value(row, 0).unwrap_or(0))
     } else {
@@ -145,11 +163,18 @@ fn emit_row(v: &mut String, spec: &TailoredSpec, row: &Row, next: &mut u32) {
                 format!("{{{{{}{{{sign}}}}}, {src}}}", tw - row.width)
             }
             Map::SignExtend => src,
-            Map::Table(t, _) => format!("{}_decode({src})", t.name()),
+            Map::Table(t, _) => {
+                let len = spec.table(t).len();
+                if len < 1 << row.width {
+                    bad = Some(format!("({src} >= {}'d{len})", row.width));
+                }
+                format!("{}_decode({src})", t.name())
+            }
         }
     };
     *next -= row.width;
     let _ = writeln!(v, "        {dst} = {rhs};");
+    bad
 }
 
 fn emit_inverse_map(v: &mut String, name: &str, table: &Remap, out_bits: u32) {

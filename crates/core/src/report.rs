@@ -1,7 +1,7 @@
 //! Cross-scheme comparison report — the data behind Figures 5, 7 and 10.
 
 use crate::att::AddressTranslationTable;
-use crate::encoded::DecoderCost;
+use crate::encoded::{DecoderCost, EncodedProgram};
 use crate::schemes::{base::BaseScheme, standard_schemes, Scheme};
 use std::fmt;
 use tepic_isa::Program;
@@ -38,7 +38,44 @@ pub struct CompressionReport {
 }
 
 impl CompressionReport {
-    /// Runs every standard scheme (plus base) over `program`.
+    /// Derives the report from images already encoded from `program`:
+    /// one row per image, in the order given (base first, then the
+    /// [`MATRIX`](crate::schemes::MATRIX) schemes, by convention). Every
+    /// column is a property of one image, so nothing is re-encoded.
+    pub fn from_images<'a>(
+        name: &str,
+        program: &Program,
+        images: impl IntoIterator<Item = &'a EncodedProgram>,
+    ) -> CompressionReport {
+        let original = program.code_size();
+        let rows = images
+            .into_iter()
+            .map(|img| {
+                let att_bytes = if matches!(img.decoder, DecoderCost::None) {
+                    0 // base runs in the original address space
+                } else {
+                    AddressTranslationTable::build(program, img).stored_bytes()
+                };
+                SchemeRow {
+                    scheme: img.kind.name().to_string(),
+                    code_bytes: img.total_bytes(),
+                    code_ratio: img.ratio(original),
+                    att_bytes,
+                    total_ratio: (img.total_bytes() + att_bytes) as f64 / original as f64,
+                    decoder_transistors: img.decoder.transistors(),
+                    dictionary_entries: img.decoder.dictionary_entries(),
+                }
+            })
+            .collect();
+        CompressionReport {
+            name: name.to_string(),
+            original_bytes: original,
+            rows,
+        }
+    }
+
+    /// Runs every standard scheme (plus base) over `program`, checks
+    /// each image's round trip, and reports on the images.
     ///
     /// # Panics
     ///
@@ -46,39 +83,23 @@ impl CompressionReport {
     /// round-trip — a report over corrupt data would be worse than a
     /// crash.
     pub fn build(name: &str, program: &Program) -> CompressionReport {
-        let original = program.code_size();
-        let mut rows = Vec::new();
         let mut all: Vec<Box<dyn Scheme>> = vec![Box::new(BaseScheme)];
         all.extend(standard_schemes());
-        for scheme in all {
-            let out = scheme
-                .compress(program)
-                .unwrap_or_else(|e| panic!("{} failed on {name}: {e}", scheme.name()));
-            assert!(
-                out.verify_roundtrip(program),
-                "{} corrupted {name}",
-                scheme.name()
-            );
-            let att_bytes = if matches!(out.image.decoder, DecoderCost::None) {
-                0 // base runs in the original address space
-            } else {
-                AddressTranslationTable::build(program, &out.image).stored_bytes()
-            };
-            rows.push(SchemeRow {
-                scheme: scheme.name(),
-                code_bytes: out.image.total_bytes(),
-                code_ratio: out.image.ratio(original),
-                att_bytes,
-                total_ratio: (out.image.total_bytes() + att_bytes) as f64 / original as f64,
-                decoder_transistors: out.image.decoder.transistors(),
-                dictionary_entries: out.image.decoder.dictionary_entries(),
-            });
-        }
-        CompressionReport {
-            name: name.to_string(),
-            original_bytes: original,
-            rows,
-        }
+        let images: Vec<EncodedProgram> = all
+            .into_iter()
+            .map(|scheme| {
+                let out = scheme
+                    .compress(program)
+                    .unwrap_or_else(|e| panic!("{} failed on {name}: {e}", scheme.name()));
+                assert!(
+                    out.verify_roundtrip(program),
+                    "{} corrupted {name}",
+                    scheme.name()
+                );
+                out.image
+            })
+            .collect();
+        CompressionReport::from_images(name, program, &images)
     }
 
     /// The row for a scheme, if present.

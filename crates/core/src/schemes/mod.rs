@@ -339,13 +339,14 @@ pub trait Scheme {
 /// enumerate schemes from this list.
 pub const MATRIX: [&str; 5] = ["byte", "stream", "stream_1", "full", "tailored"];
 
-/// Instantiates a scheme by its figure name: a [`MATRIX`] name, `base`,
-/// or any named [`stream::StreamConfig`].
+/// Instantiates a scheme by the name its images carry: a [`MATRIX`]
+/// name, `base`, `pair`, or any named [`stream::StreamConfig`].
 pub fn by_name(name: &str) -> Option<Box<dyn Scheme>> {
     match name {
         "base" => Some(Box::new(base::BaseScheme)),
         "byte" => Some(Box::new(byte::ByteScheme::default())),
         "full" => Some(Box::new(full::FullScheme::default())),
+        "pair" => Some(Box::new(pair::PairScheme::default())),
         "tailored" => Some(Box::new(tailored::TailoredScheme)),
         other => stream::StreamScheme::named(other).map(|s| Box::new(s) as Box<dyn Scheme>),
     }
@@ -460,8 +461,10 @@ mod tests {
     #[test]
     fn by_name_instantiates_every_named_scheme() {
         let p = testutil::sample_program();
-        for name in MATRIX.iter().chain(&["base"]) {
-            assert_eq!(by_name(name).map(|s| s.name()).as_deref(), Some(*name));
+        let streams = stream::StreamConfig::ALL.iter().map(|c| c.name);
+        let names = MATRIX.into_iter().chain(["base", "pair"]).chain(streams);
+        for name in names {
+            assert_eq!(by_name(name).map(|s| s.name()).as_deref(), Some(name));
             // An image names the scheme that re-encodes it identically
             // (the engine rebuilds a codec from `image.kind` this way).
             let out = by_name(name).unwrap().compress(&p).unwrap();

@@ -1,15 +1,12 @@
-//! Wire serialization of encoded images and compression reports
-//! (artifact-cache format).
+//! Wire serialization of encoded images (artifact-cache format).
 //!
 //! The prepared-workload engine caches each `(workload, scheme)` cell of
-//! the preparation matrix as one [`EncodedProgram`] payload, and the
-//! whole-program scheme comparison as one [`CompressionReport`] payload.
-//! The layouts are explicit (see [`tepic_isa::wire`]); [`CODEC_VERSION`]
-//! stamps both, and cache keys include it, so changing any scheme's
-//! output or this byte format invalidates every stale entry.
+//! the preparation matrix as one [`EncodedProgram`] payload. The layout
+//! is explicit (see [`tepic_isa::wire`]); [`CODEC_VERSION`] stamps it,
+//! and cache keys include it, so changing any scheme's output or this
+//! byte format invalidates every stale entry.
 
 use crate::encoded::{DecoderCost, EncodedProgram, SchemeKind};
-use crate::report::{CompressionReport, SchemeRow};
 use tepic_isa::wire::{WireError, WireReader, WireWriter};
 use tinker_huffman::DecoderComplexity;
 
@@ -142,70 +139,6 @@ pub fn encoded_from_bytes(bytes: &[u8]) -> Result<EncodedProgram, WireError> {
     Ok(e)
 }
 
-/// Serializes a compression report into the artifact-cache wire format.
-pub fn report_to_bytes(rep: &CompressionReport) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u32(CODEC_VERSION);
-    w.put_str(&rep.name);
-    w.put_len(rep.original_bytes);
-    w.put_len(rep.rows.len());
-    for row in &rep.rows {
-        w.put_str(&row.scheme);
-        w.put_len(row.code_bytes);
-        w.put_u64(row.code_ratio.to_bits());
-        w.put_len(row.att_bytes);
-        w.put_u64(row.total_ratio.to_bits());
-        w.put_u64(row.decoder_transistors as u64);
-        w.put_u64((row.decoder_transistors >> 64) as u64);
-        w.put_len(row.dictionary_entries);
-    }
-    w.into_bytes()
-}
-
-/// Deserializes a report written by [`report_to_bytes`].
-///
-/// # Errors
-///
-/// [`WireError`] on truncation, trailing bytes or version mismatch.
-pub fn report_from_bytes(bytes: &[u8]) -> Result<CompressionReport, WireError> {
-    let mut r = WireReader::new(bytes);
-    let version = r.get_u32()?;
-    if version != CODEC_VERSION {
-        return Err(WireError::BadVersion(version));
-    }
-    let name = r.get_str()?.to_string();
-    let original_bytes = r.get_len()?;
-    let nrows = r.get_len()?;
-    let mut rows = Vec::with_capacity(nrows);
-    for _ in 0..nrows {
-        let scheme = r.get_str()?.to_string();
-        let code_bytes = r.get_len()?;
-        let code_ratio = f64::from_bits(r.get_u64()?);
-        let att_bytes = r.get_len()?;
-        let total_ratio = f64::from_bits(r.get_u64()?);
-        let lo = r.get_u64()? as u128;
-        let hi = r.get_u64()? as u128;
-        let dictionary_entries = r.get_len()?;
-        rows.push(SchemeRow {
-            scheme,
-            code_bytes,
-            code_ratio,
-            att_bytes,
-            total_ratio,
-            decoder_transistors: (hi << 64) | lo,
-            dictionary_entries,
-        });
-    }
-    if !r.is_exhausted() {
-        return Err(WireError::Invalid("trailing bytes after report".into()));
-    }
-    Ok(CompressionReport {
-        name,
-        original_bytes,
-        rows,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,24 +208,5 @@ mod tests {
             encoded_from_bytes(&bytes),
             Err(WireError::Invalid(_))
         ));
-    }
-
-    #[test]
-    fn report_roundtrip_identity() {
-        let rep = CompressionReport {
-            name: "perl".into(),
-            original_bytes: 12345,
-            rows: vec![SchemeRow {
-                scheme: "full".into(),
-                code_bytes: 3700,
-                code_ratio: 0.2997,
-                att_bytes: 512,
-                total_ratio: 0.3412,
-                decoder_transistors: u128::from(u64::MAX) * 7,
-                dictionary_entries: 431,
-            }],
-        };
-        let bytes = report_to_bytes(&rep);
-        assert_eq!(report_from_bytes(&bytes).unwrap(), rep);
     }
 }

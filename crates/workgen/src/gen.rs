@@ -282,13 +282,6 @@ impl Gen<'_> {
         }
 
         src.push_str(&self.main_fn(budget * 0.20, &dyn_costs));
-        if std::env::var("GEN_DEBUG").is_ok() {
-            let total: f64 = self.steer.est.iter().sum();
-            eprintln!(
-                "charged {:?} total {total:.0}",
-                self.steer.est.map(|v| (v * 10.0).round() / 10.0)
-            );
-        }
         src
     }
 

@@ -3,7 +3,8 @@
 module tepic_tailored_decoder (
     input  wire [63:0] tailored_op,
     output reg  [39:0] word,
-    output reg  [5:0]  op_len
+    output reg  [5:0]  op_len,
+    output reg         op_bad
 );
   wire [4:0] opsel = tailored_op[62:58];
   function [4:0] pr_decode;
@@ -63,6 +64,7 @@ module tepic_tailored_decoder (
         word[13:9] = gpr_decode(tailored_op[56:52]);
         word[18:14] = gpr_decode(tailored_op[51:47]);
         word[33:29] = gpr_decode(tailored_op[46:42]);
+        op_bad = (tailored_op[56:52] >= 5'd25) | (tailored_op[51:47] >= 5'd25) | (tailored_op[46:42] >= 5'd25);
         op_len = 6'd22; // header 6 + pred 1 + payload 15
       end
       5'd1: begin // opt=0 opcode=1
@@ -73,6 +75,7 @@ module tepic_tailored_decoder (
         word[13:9] = gpr_decode(tailored_op[56:52]);
         word[18:14] = gpr_decode(tailored_op[51:47]);
         word[33:29] = gpr_decode(tailored_op[46:42]);
+        op_bad = (tailored_op[56:52] >= 5'd25) | (tailored_op[51:47] >= 5'd25) | (tailored_op[46:42] >= 5'd25);
         op_len = 6'd22; // header 6 + pred 1 + payload 15
       end
       5'd2: begin // opt=0 opcode=2
@@ -83,6 +86,7 @@ module tepic_tailored_decoder (
         word[13:9] = gpr_decode(tailored_op[56:52]);
         word[18:14] = gpr_decode(tailored_op[51:47]);
         word[33:29] = gpr_decode(tailored_op[46:42]);
+        op_bad = (tailored_op[56:52] >= 5'd25) | (tailored_op[51:47] >= 5'd25) | (tailored_op[46:42] >= 5'd25);
         op_len = 6'd22; // header 6 + pred 1 + payload 15
       end
       5'd3: begin // opt=0 opcode=4
@@ -93,6 +97,7 @@ module tepic_tailored_decoder (
         word[13:9] = gpr_decode(tailored_op[56:52]);
         word[18:14] = gpr_decode(tailored_op[51:47]);
         word[33:29] = gpr_decode(tailored_op[46:42]);
+        op_bad = (tailored_op[56:52] >= 5'd25) | (tailored_op[51:47] >= 5'd25) | (tailored_op[46:42] >= 5'd25);
         op_len = 6'd22; // header 6 + pred 1 + payload 15
       end
       5'd4: begin // opt=0 opcode=5
@@ -103,6 +108,7 @@ module tepic_tailored_decoder (
         word[13:9] = gpr_decode(tailored_op[56:52]);
         word[18:14] = gpr_decode(tailored_op[51:47]);
         word[33:29] = gpr_decode(tailored_op[46:42]);
+        op_bad = (tailored_op[56:52] >= 5'd25) | (tailored_op[51:47] >= 5'd25) | (tailored_op[46:42] >= 5'd25);
         op_len = 6'd22; // header 6 + pred 1 + payload 15
       end
       5'd5: begin // opt=0 opcode=6
@@ -113,6 +119,7 @@ module tepic_tailored_decoder (
         word[13:9] = gpr_decode(tailored_op[56:52]);
         word[18:14] = gpr_decode(tailored_op[51:47]);
         word[33:29] = gpr_decode(tailored_op[46:42]);
+        op_bad = (tailored_op[56:52] >= 5'd25) | (tailored_op[51:47] >= 5'd25) | (tailored_op[46:42] >= 5'd25);
         op_len = 6'd22; // header 6 + pred 1 + payload 15
       end
       5'd6: begin // opt=0 opcode=8
@@ -123,6 +130,7 @@ module tepic_tailored_decoder (
         word[13:9] = gpr_decode(tailored_op[56:52]);
         word[18:14] = gpr_decode(tailored_op[51:47]);
         word[33:29] = gpr_decode(tailored_op[46:42]);
+        op_bad = (tailored_op[56:52] >= 5'd25) | (tailored_op[51:47] >= 5'd25) | (tailored_op[46:42] >= 5'd25);
         op_len = 6'd22; // header 6 + pred 1 + payload 15
       end
       5'd7: begin // opt=0 opcode=11
@@ -133,6 +141,7 @@ module tepic_tailored_decoder (
         word[13:9] = gpr_decode(tailored_op[56:52]);
         word[18:14] = gpr_decode(tailored_op[51:47]);
         word[33:29] = gpr_decode(tailored_op[46:42]);
+        op_bad = (tailored_op[56:52] >= 5'd25) | (tailored_op[51:47] >= 5'd25) | (tailored_op[46:42] >= 5'd25);
         op_len = 6'd22; // header 6 + pred 1 + payload 15
       end
       5'd8: begin // opt=0 opcode=16
@@ -144,6 +153,7 @@ module tepic_tailored_decoder (
         word[18:14] = gpr_decode(tailored_op[51:47]);
         word[23:21] = cond_decode(tailored_op[46]);
         word[33:29] = pr_decode(tailored_op[45]);
+        op_bad = (tailored_op[56:52] >= 5'd25) | (tailored_op[51:47] >= 5'd25);
         op_len = 6'd19; // header 6 + pred 1 + payload 12
       end
       5'd9: begin // opt=0 opcode=17
@@ -153,6 +163,7 @@ module tepic_tailored_decoder (
         word[39:35] = pr_decode(tailored_op[57]);
         word[28:9] = tailored_op[56:37];
         word[33:29] = gpr_decode(tailored_op[36:32]);
+        op_bad = (tailored_op[36:32] >= 5'd25);
         op_len = 6'd32; // header 6 + pred 1 + payload 25
       end
       5'd10: begin // opt=0 opcode=18
@@ -162,6 +173,7 @@ module tepic_tailored_decoder (
         word[39:35] = pr_decode(tailored_op[57]);
         word[28:9] = tailored_op[56:37];
         word[33:29] = gpr_decode(tailored_op[36:32]);
+        op_bad = (tailored_op[36:32] >= 5'd25);
         op_len = 6'd32; // header 6 + pred 1 + payload 25
       end
       5'd11: begin // opt=2 opcode=0
@@ -173,6 +185,7 @@ module tepic_tailored_decoder (
         word[15:14] = 2'd2;
         word[28:24] = 5'd2;
         word[33:29] = gpr_decode(tailored_op[51:47]);
+        op_bad = (tailored_op[56:52] >= 5'd25) | (tailored_op[51:47] >= 5'd25);
         op_len = 6'd17; // header 6 + pred 1 + payload 10
       end
       5'd12: begin // opt=2 opcode=1
@@ -183,6 +196,7 @@ module tepic_tailored_decoder (
         word[13:9] = gpr_decode(tailored_op[56:52]);
         word[20:19] = 2'd2;
         word[18:14] = gpr_decode(tailored_op[51:47]);
+        op_bad = (tailored_op[56:52] >= 5'd25) | (tailored_op[51:47] >= 5'd25);
         op_len = 6'd17; // header 6 + pred 1 + payload 10
       end
       5'd13: begin // opt=3 opcode=0
@@ -191,6 +205,7 @@ module tepic_tailored_decoder (
         word[1] = 1'd0;
         word[39:35] = pr_decode(tailored_op[57]);
         word[34:19] = tailored_op[56:50];
+        op_bad = 1'b0;
         op_len = 6'd14; // header 6 + pred 1 + payload 7
       end
       5'd14: begin // opt=3 opcode=1
@@ -200,6 +215,7 @@ module tepic_tailored_decoder (
         word[39:35] = pr_decode(tailored_op[57]);
         word[34:19] = tailored_op[56:50];
         word[18:14] = gpr_decode(tailored_op[49:45]);
+        op_bad = (tailored_op[49:45] >= 5'd25);
         op_len = 6'd19; // header 6 + pred 1 + payload 12
       end
       5'd15: begin // opt=3 opcode=2
@@ -208,6 +224,7 @@ module tepic_tailored_decoder (
         word[1] = 1'd0;
         word[39:35] = pr_decode(tailored_op[57]);
         word[13:9] = gpr_decode(tailored_op[56:52]);
+        op_bad = (tailored_op[56:52] >= 5'd25);
         op_len = 6'd12; // header 6 + pred 1 + payload 5
       end
       5'd16: begin // opt=3 opcode=3
@@ -215,6 +232,7 @@ module tepic_tailored_decoder (
         word[0] = tailored_op[63];
         word[1] = 1'd0;
         word[39:35] = pr_decode(tailored_op[57]);
+        op_bad = 1'b0;
         op_len = 6'd7; // header 6 + pred 1 + payload 0
       end
       5'd17: begin // opt=3 opcode=4
@@ -224,9 +242,10 @@ module tepic_tailored_decoder (
         word[39:35] = pr_decode(tailored_op[57]);
         word[18:14] = 5'd1;
         word[13:9] = gpr_decode(tailored_op[56:52]);
+        op_bad = (tailored_op[56:52] >= 5'd25);
         op_len = 6'd12; // header 6 + pred 1 + payload 5
       end
-      default: begin word = 40'd0; op_len = 6'd0; end
+      default: begin word = 40'd0; op_len = 6'd0; op_bad = 1'b1; end
     endcase
   end
 endmodule

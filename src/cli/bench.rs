@@ -19,6 +19,7 @@ use super::{fail, EngineArgs, Env, Exit, Outcome};
 use crate::bench::engine::MATRIX_SCHEMES;
 use crate::bench::figures::{self, Figure, FIGURES};
 use crate::bench::history;
+use crate::bench::Prepared;
 use crate::prelude::*;
 use std::time::Instant;
 
@@ -86,7 +87,7 @@ pub(crate) fn run(_: &str, args: &[String], env: Env) -> Outcome {
 
     let t0 = Instant::now();
     let prepared = engine.prepare_all().map_err(fail)?;
-    let reports = engine.reports(&prepared);
+    let reports: Vec<_> = prepared.iter().map(Prepared::report).collect();
     let prepare_wall = t0.elapsed();
 
     // Stdout carries only figure text, so `--figures <name>` redirected

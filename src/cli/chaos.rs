@@ -39,7 +39,7 @@ const DEFAULT_CHAOS_SITES: &str = "cache.read:0.2:io,cache.read:0.15:corrupt,\
                                    cache.write:0.2:io,cache.rename:0.1:io,\
                                    pool.job:0.1:panic,stage.compile:0.2:flaky,\
                                    stage.emulate:0.15:flaky,stage.encode:0.2:flaky,\
-                                   stage.report:0.15:flaky,decode.lut:0.5:error";
+                                   decode.lut:0.5:error";
 
 /// Silences panic output for injected `pool.job` faults (the isolated
 /// pool catches them; the default hook's backtraces would drown the
@@ -145,7 +145,7 @@ pub(crate) fn run(_: &str, args: &[String], env: Env) -> Outcome {
             None => engine,
         };
         let prepared = engine.prepare_all().map_err(|e| e.to_string())?;
-        let reports = engine.reports(&prepared);
+        let reports: Vec<_> = prepared.iter().map(Prepared::report).collect();
         let text = figure_suite_text(&prepared, &reports);
         Ok((prepared, text, engine.recovery()))
     };
@@ -218,7 +218,6 @@ pub(crate) fn run(_: &str, args: &[String], env: Env) -> Outcome {
             sites::STAGE_COMPILE,
             sites::STAGE_EMULATE,
             sites::STAGE_ENCODE,
-            sites::STAGE_REPORT,
         ];
         let checks: [(&str, u64, u64); 6] = [
             (

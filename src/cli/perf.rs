@@ -31,6 +31,7 @@ use super::flags::{parsed, positive, Command, Flag, PATH, POSITIVE};
 use super::{fail, EngineArgs, Env, Exit, Outcome};
 use crate::bench::engine::cache::write_atomic;
 use crate::bench::history::{self, SentinelConfig, SentinelStatus};
+use crate::bench::Prepared;
 use crate::prelude::*;
 use crate::telemetry::{ledger, SpanForest, SpanNode};
 use std::fmt::Write as _;
@@ -260,7 +261,7 @@ fn attr(args: &EngineArgs, env: Env) -> Result<(), String> {
     eprintln!("tepic-cc perf: cold attribution run (jobs={jobs})");
     let t0 = Instant::now();
     let prepared = engine.prepare_all().map_err(|e| e.to_string())?;
-    let reports = engine.reports(&prepared);
+    let reports: Vec<_> = prepared.iter().map(Prepared::report).collect();
     let wall = t0.elapsed();
     std::hint::black_box(&reports);
     if sink.dropped() > 0 {
@@ -282,7 +283,6 @@ fn attr(args: &EngineArgs, env: Env) -> Result<(), String> {
         ("compile", snap.compile_ns),
         ("emulate", snap.emulate_ns),
         ("encode", snap.encode_ns),
-        ("report", snap.report_ns),
     ] {
         if total_of(stage) != timer_ns {
             return Err(format!(
@@ -323,7 +323,7 @@ fn attr(args: &EngineArgs, env: Env) -> Result<(), String> {
     }
     let _ = writeln!(
         text,
-        "\nper-stage rollup (compile, emulate, encode and report reconcile exactly with \
+        "\nper-stage rollup (compile, emulate and encode reconcile exactly with \
          the engine timers; lego's stages sum to at most compile, its optimizer passes \
          to at most opt, its scheduler phases to at most sched):"
     );

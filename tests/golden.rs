@@ -27,7 +27,7 @@ fn suite() -> &'static (Vec<Prepared>, Vec<CompressionReport>) {
     SUITE.get_or_init(|| {
         let engine = Engine::uncached(4);
         let prepared = engine.prepare_all().expect("suite prepares");
-        let reports = engine.reports(&prepared);
+        let reports = prepared.iter().map(Prepared::report).collect();
         (prepared, reports)
     })
 }
@@ -92,6 +92,19 @@ golden_tests! {
     ext_fault_campaign_matches_golden => "ext_fault_campaign",
     ext_gshare_matches_golden => "ext_gshare",
     ext_tail_duplication_matches_golden => "ext_tail_duplication",
+}
+
+/// The reports behind Figures 5, 7 and 10 are derived from the
+/// prepared images; re-encoding every program under every scheme (and
+/// checking each round trip) must give the same reports, f64 fields
+/// included.
+#[test]
+fn prepared_reports_equal_freshly_built_ones() {
+    let (prepared, reports) = suite();
+    for (p, report) in prepared.iter().zip(reports) {
+        let built = CompressionReport::build(p.workload.name, &p.program);
+        assert_eq!(*report, built, "{}", p.workload.name);
+    }
 }
 
 #[test]

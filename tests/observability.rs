@@ -137,9 +137,7 @@ fn missing_ledger_loads_empty() {
 fn span_forest_survives_pool_handoff_at_jobs_8() {
     let sink = SharedSink::new(1 << 16);
     let engine = Engine::uncached(8).with_trace_sink(sink.clone());
-    let prepared = engine.prepare_all().expect("pipeline prepares");
-    let reports = engine.reports(&prepared);
-    std::hint::black_box(&reports);
+    engine.prepare_all().expect("pipeline prepares");
     assert_eq!(sink.dropped(), 0, "ring large enough for a full run");
 
     let events = sink.drain();
@@ -163,9 +161,6 @@ fn span_forest_survives_pool_handoff_at_jobs_8() {
                 n.name, n.detail, parent.name, parent.detail
             );
         }
-        if n.name == "report" {
-            assert_ne!(n.parent, 0, "report {} became a root", n.detail);
-        }
     }
     assert!(stage_spans > 0, "no stage spans recorded");
 
@@ -175,5 +170,4 @@ fn span_forest_survives_pool_handoff_at_jobs_8() {
     assert_eq!(total("compile"), snap.compile_ns, "compile rollup drifted");
     assert_eq!(total("emulate"), snap.emulate_ns, "emulate rollup drifted");
     assert_eq!(total("encode"), snap.encode_ns, "encode rollup drifted");
-    assert_eq!(total("report"), snap.report_ns, "report rollup drifted");
 }

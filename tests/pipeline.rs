@@ -163,12 +163,15 @@ fn tailored_verilog_op_len_is_each_opcodes_encoded_size() {
 
 #[test]
 fn tailored_verilog_expands_every_op_to_its_word() {
+    let mut bad_ops = 0;
     for w in &workloads::ALL {
         let program = w.compile().unwrap();
-        if let Err(e) = verilog_eval::check_tailored_verilog(&program) {
-            panic!("{}: {e}", w.name);
+        match verilog_eval::check_tailored_verilog(&program) {
+            Ok(n) => bad_ops += n,
+            Err(e) => panic!("{}: {e}", w.name),
         }
     }
+    assert!(bad_ops > 0, "no corrupted op reached a bad code");
 }
 
 #[test]

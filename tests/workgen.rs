@@ -255,3 +255,18 @@ fn engine_prepare_is_cache_and_parallelism_invariant() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A generated program's report, derived from its prepared images,
+/// equals the one built by re-encoding it under every scheme.
+#[test]
+fn prepared_reports_equal_freshly_built_ones() {
+    let corpus = generate_corpus(42, Tier::Tiny, Flavor::Tepic).unwrap();
+    let prepared = Engine::uncached(2)
+        .prepare(&corpus.workloads())
+        .expect("tiny corpus prepares");
+    assert_eq!(prepared.len(), Tier::Tiny.program_count());
+    for p in &prepared {
+        let built = CompressionReport::build(p.workload.name, &p.program);
+        assert_eq!(p.report(), built, "{}", p.workload.name);
+    }
+}
