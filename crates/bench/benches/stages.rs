@@ -1,17 +1,23 @@
 //! Criterion benchmarks over every pipeline stage: compilation, Huffman
-//! table construction, each compression scheme, emulation and fetch
-//! simulation. Complements the figure-reproduction binaries with a
+//! book and decode-table construction, per-block decode, each
+//! compression scheme, emulation and fetch simulation. Complements the figure-reproduction binaries with a
 //! performance view of the tooling itself.
 
 use ccc_core::schemes::{
-    base::encode_base, byte::ByteScheme, full::FullScheme, stream::StreamScheme,
-    tailored::TailoredScheme, Scheme,
+    base::encode_base,
+    by_name,
+    byte::ByteScheme,
+    full::FullScheme,
+    stream::{StreamConfig, StreamScheme},
+    tailored::TailoredScheme,
+    Scheme,
 };
 use ccc_workgen::servemix::{request_mix, MixParams};
 use criterion::{criterion_group, criterion_main, Criterion};
 use ifetch_sim::{simulate, FetchConfig};
 use std::hint::black_box;
 use std::time::Duration;
+use tepic_isa::Program;
 use tinker_huffman::{CodeBook, Dictionary};
 
 fn configured() -> Criterion {
@@ -77,6 +83,65 @@ fn bench_huffman(c: &mut Criterion) {
             black_box(dec.decode_n(&mut r, words.len()).unwrap())
         })
     });
+    // Decode-table construction for go's books, one case per scheme:
+    // the work every codec build does per table.
+    for (scheme, books) in [
+        ("byte", byte_books(&p)),
+        ("full", vec![book.clone()]),
+        ("stream", stream_books(&p, "stream")),
+    ] {
+        g.bench_function(&format!("lut_build/{scheme}"), |b| {
+            b.iter(|| black_box(books.iter().map(CodeBook::lut_decoder).collect::<Vec<_>>()))
+        });
+    }
+    g.finish();
+}
+
+/// The byte scheme's book for `p`: its code-byte histogram, bounded as
+/// the scheme bounds it.
+fn byte_books(p: &Program) -> Vec<CodeBook> {
+    let mut freqs = [0u64; 256];
+    for b in p.code_bytes() {
+        freqs[b as usize] += 1;
+    }
+    let bound = ByteScheme::default().max_code_len;
+    vec![CodeBook::bounded_from_freqs(&freqs, bound).unwrap()]
+}
+
+/// One book per field stream of configuration `name`, bounded as the
+/// stream scheme bounds them.
+fn stream_books(p: &Program, name: &str) -> Vec<CodeBook> {
+    let config = StreamConfig::by_name(name).unwrap();
+    let bound = StreamScheme::named(name).unwrap().max_code_len;
+    let words = p.op_words();
+    (0..config.num_streams())
+        .map(|si| {
+            let (off, width) = config.stream_bits(si);
+            let dict: Dictionary<u64> = words
+                .iter()
+                .map(|w| (w >> off) & ((1u64 << width) - 1))
+                .collect();
+            CodeBook::bounded_from_freqs(dict.freqs(), bound).unwrap()
+        })
+        .collect()
+}
+
+/// Every block of go, one `decode_block` each, per Huffman scheme: the
+/// per-block decode the fetch path runs on an L0 miss.
+fn bench_decode_block(c: &mut Criterion) {
+    let p = tinker_workloads::by_name("go").unwrap().compile().unwrap();
+    let mut g = c.benchmark_group("decode_block");
+    for name in ["byte", "stream", "stream_1", "full", "pair"] {
+        let out = by_name(name).unwrap().compress(&p).unwrap();
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                for (block, info) in p.blocks().iter().enumerate() {
+                    let words = out.codec.decode_block(&out.image, block, info.num_ops);
+                    black_box(words.unwrap());
+                }
+            })
+        });
+    }
     g.finish();
 }
 
@@ -135,6 +200,6 @@ fn bench_fetch_sim(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_compile, bench_huffman, bench_schemes, bench_emulate, bench_fetch_sim
+    targets = bench_compile, bench_huffman, bench_decode_block, bench_schemes, bench_emulate, bench_fetch_sim
 }
 criterion_main!(benches);

@@ -327,9 +327,6 @@ fn campaign_one(
     cfg: &CampaignConfig,
 ) -> SchemeCampaign {
     let att = AddressTranslationTable::build(program, &out.image);
-    let golden: Vec<Vec<u64>> = (0..program.num_blocks())
-        .map(|b| program.block_ops(b).iter().map(|o| o.encode()).collect())
-        .collect();
     let dict_image = out.codec.dictionary_image();
     let dict_crc = crc32(&dict_image);
 
@@ -357,7 +354,7 @@ fn campaign_one(
         let faulted = faulted_blocks(&out.image, &fault, payload_bits);
         // Fetch path order: the block's lines arrive, parity is checked
         // against the ATT entry, then the decoder runs.
-        let outcome = classify_payload(out, &att, &golden, &bytes, faulted, true, &mut 0);
+        let outcome = classify_payload(out, &att, program, &bytes, faulted, true, &mut 0);
         payload.add(outcome);
     }
 
@@ -372,7 +369,7 @@ fn campaign_one(
         }
         let faulted = faulted_blocks(&out.image, &fault, payload_bits);
         let mut corrupted = 0u64;
-        let outcome = classify_payload(out, &att, &golden, &bytes, faulted, false, &mut corrupted);
+        let outcome = classify_payload(out, &att, program, &bytes, faulted, false, &mut corrupted);
         if matches!(outcome, Outcome::Contained | Outcome::Sdc) {
             raw_undetected += 1;
             raw_corrupted_ops += corrupted;
@@ -484,7 +481,7 @@ fn faulted_blocks(
 fn classify_payload(
     out: &SchemeOutput,
     att: &AddressTranslationTable,
-    golden: &[Vec<u64>],
+    program: &Program,
     corrupt_bytes: &[u8],
     faulted: (usize, usize),
     protected: bool,
@@ -505,7 +502,8 @@ fn classify_payload(
 
     let mut wrong_in_fault_blocks = 0u64;
     let mut wrong_elsewhere = 0u64;
-    for (b, want) in golden.iter().enumerate() {
+    for b in 0..program.num_blocks() {
+        let want = program.block_words(b);
         match out.codec.decode_block(&image, b, want.len()) {
             Err(_) => return Outcome::Detected,
             Ok(words) => {

@@ -6,10 +6,12 @@
 //! at an intermediate compression ratio — the paper measures ≈72% of the
 //! original size.
 
-use super::{BlockDecodeError, CompressError, Scheme, SchemeOutput, SymbolCodec};
+use super::{BlockDecodeError, CompressError, Scheme, SchemeOutput, Step, SymbolCodec};
 use crate::encoded::{DecoderCost, EncodedProgram, SchemeKind};
 use tepic_isa::{Program, OP_BYTES};
-use tinker_huffman::{BitWriter, CodeBook, DecoderComplexity, LutDecoder};
+use tinker_huffman::{
+    BitReader, BitWriter, CodeBook, DecodeCounters, DecoderComplexity, LutDecoder,
+};
 
 /// Byte-alphabet Huffman scheme.
 #[derive(Debug, Clone, Copy)]
@@ -29,48 +31,66 @@ impl Default for ByteScheme {
     }
 }
 
-struct ByteCodec {
+pub(crate) struct ByteCodec {
     /// The LUT fast path decodes identically to the bit-serial
     /// reference (`CodeBook::decoder`); hardware cost is still modelled
-    /// on the reference (`DecoderComplexity` below). The `decode_block*`
-    /// triplet is derived from this [`SymbolCodec`] description by the
-    /// blanket impl in `schemes`.
-    tables: Vec<LutDecoder>,
+    /// on the reference (`DecoderComplexity` below).
+    table: LutDecoder,
 }
 
 impl SymbolCodec for ByteCodec {
-    fn tables(&self) -> &[LutDecoder] {
-        &self.tables
+    /// Five codes per word, its little-endian bytes.
+    #[inline(always)]
+    fn decode_words<S: Step>(
+        &self,
+        step: S,
+        r: &mut BitReader<'_>,
+        num_ops: usize,
+        counts: &mut DecodeCounters,
+    ) -> Result<Vec<u64>, BlockDecodeError> {
+        let mut out = Vec::with_capacity(num_ops);
+        for _ in 0..num_ops {
+            let mut word = 0u64;
+            for k in 0..OP_BYTES {
+                let byte = step.step(&self.table, r, counts)? as u8;
+                word |= u64::from(byte) << (8 * k);
+            }
+            out.push(word);
+        }
+        Ok(out)
     }
 
+    fn tables_image(&self) -> Vec<u8> {
+        self.table.table_image()
+    }
+
+    #[cfg(test)]
+    fn tables(&self) -> &[LutDecoder] {
+        std::slice::from_ref(&self.table)
+    }
+
+    #[cfg(test)]
     fn num_symbols(&self, num_ops: usize) -> usize {
         num_ops * OP_BYTES
     }
 
+    #[cfg(test)]
     fn table_of(&self, _i: usize, _num_ops: usize) -> u32 {
         0
     }
 
+    #[cfg(test)]
     fn assemble(&self, syms: &[u32], num_ops: usize) -> Result<Vec<u64>, BlockDecodeError> {
-        Ok(words_from_byte_syms(syms, num_ops))
-    }
-
-    fn tables_image(&self) -> Vec<u8> {
-        self.tables[0].table_image()
-    }
-}
-
-/// Reassembles 40-bit op words from their decoded little-endian bytes.
-fn words_from_byte_syms(syms: &[u32], num_ops: usize) -> Vec<u64> {
-    let mut out = Vec::with_capacity(num_ops);
-    for chunk in syms.chunks_exact(OP_BYTES) {
-        let mut w = [0u8; 8];
-        for (byte, &sym) in w.iter_mut().zip(chunk) {
-            *byte = sym as u8;
+        let mut out = Vec::with_capacity(num_ops);
+        for chunk in syms.chunks_exact(OP_BYTES) {
+            let mut w = [0u8; 8];
+            for (byte, &sym) in w.iter_mut().zip(chunk) {
+                *byte = sym as u8;
+            }
+            out.push(u64::from_le_bytes(w));
         }
-        out.push(u64::from_le_bytes(w));
+        Ok(out)
     }
-    out
 }
 
 impl Scheme for ByteScheme {
@@ -79,6 +99,20 @@ impl Scheme for ByteScheme {
     }
 
     fn compress(&self, program: &Program) -> Result<SchemeOutput, CompressError> {
+        let (image, codec) = self.build(program)?;
+        Ok(SchemeOutput {
+            image,
+            codec: Box::new(codec),
+        })
+    }
+}
+
+impl ByteScheme {
+    /// Compresses `program` into its image and its concrete codec.
+    pub(crate) fn build(
+        &self,
+        program: &Program,
+    ) -> Result<(EncodedProgram, ByteCodec), CompressError> {
         if program.num_ops() == 0 {
             return Err(CompressError::EmptyProgram);
         }
@@ -116,12 +150,10 @@ impl Scheme for ByteScheme {
             block_bytes,
             decoder: DecoderCost::Huffman(vec![decoder_model]),
         };
-        Ok(SchemeOutput {
-            image,
-            codec: Box::new(ByteCodec {
-                tables: vec![book.lut_decoder()],
-            }),
-        })
+        let codec = ByteCodec {
+            table: book.lut_decoder(),
+        };
+        Ok((image, codec))
     }
 }
 

@@ -7,10 +7,12 @@
 //! best compression of the study (≈30% of original) at the price of the
 //! largest decoder — the tradeoff at the heart of Figures 5, 10 and 13.
 
-use super::{BlockDecodeError, CompressError, Scheme, SchemeOutput, SymbolCodec};
+use super::{BlockDecodeError, CompressError, Scheme, SchemeOutput, Step, SymbolCodec};
 use crate::encoded::{DecoderCost, EncodedProgram, SchemeKind};
 use tepic_isa::{Program, OP_BITS};
-use tinker_huffman::{BitWriter, CodeBook, DecoderComplexity, Dictionary, LutDecoder};
+use tinker_huffman::{
+    BitReader, BitWriter, CodeBook, DecodeCounters, DecoderComplexity, Dictionary, LutDecoder,
+};
 
 /// Whole-op Huffman scheme.
 #[derive(Debug, Clone, Copy)]
@@ -26,24 +28,60 @@ impl Default for FullScheme {
     }
 }
 
-struct FullCodec {
-    tables: Vec<LutDecoder>,
-    values: Vec<u64>,
+pub(crate) struct FullCodec {
+    pub(crate) table: LutDecoder,
+    pub(crate) values: Vec<u64>,
 }
 
 impl SymbolCodec for FullCodec {
-    fn tables(&self) -> &[LutDecoder] {
-        &self.tables
+    /// One code per word.
+    #[inline(always)]
+    fn decode_words<S: Step>(
+        &self,
+        step: S,
+        r: &mut BitReader<'_>,
+        num_ops: usize,
+        counts: &mut DecodeCounters,
+    ) -> Result<Vec<u64>, BlockDecodeError> {
+        let mut out = Vec::with_capacity(num_ops);
+        let mut bad = false;
+        for _ in 0..num_ops {
+            let sym = step.step(&self.table, r, counts)?;
+            match self.values.get(sym as usize) {
+                Some(&word) => out.push(word),
+                None => bad = true,
+            }
+        }
+        if bad {
+            return Err(BlockDecodeError::BadValue { field: "op symbol" });
+        }
+        Ok(out)
     }
 
+    fn tables_image(&self) -> Vec<u8> {
+        let mut img = self.table.table_image();
+        for v in &self.values {
+            img.extend_from_slice(&v.to_le_bytes());
+        }
+        img
+    }
+
+    #[cfg(test)]
+    fn tables(&self) -> &[LutDecoder] {
+        std::slice::from_ref(&self.table)
+    }
+
+    #[cfg(test)]
     fn num_symbols(&self, num_ops: usize) -> usize {
         num_ops
     }
 
+    #[cfg(test)]
     fn table_of(&self, _i: usize, _num_ops: usize) -> u32 {
         0
     }
 
+    #[cfg(test)]
     fn assemble(&self, syms: &[u32], _num_ops: usize) -> Result<Vec<u64>, BlockDecodeError> {
         let mut out = Vec::with_capacity(syms.len());
         for &sym in syms {
@@ -55,14 +93,6 @@ impl SymbolCodec for FullCodec {
         }
         Ok(out)
     }
-
-    fn tables_image(&self) -> Vec<u8> {
-        let mut img = self.tables[0].table_image();
-        for v in &self.values {
-            img.extend_from_slice(&v.to_le_bytes());
-        }
-        img
-    }
 }
 
 impl Scheme for FullScheme {
@@ -71,6 +101,20 @@ impl Scheme for FullScheme {
     }
 
     fn compress(&self, program: &Program) -> Result<SchemeOutput, CompressError> {
+        let (image, codec) = self.build(program)?;
+        Ok(SchemeOutput {
+            image,
+            codec: Box::new(codec),
+        })
+    }
+}
+
+impl FullScheme {
+    /// Compresses `program` into its image and its concrete codec.
+    pub(crate) fn build(
+        &self,
+        program: &Program,
+    ) -> Result<(EncodedProgram, FullCodec), CompressError> {
         if program.num_ops() == 0 {
             return Err(CompressError::EmptyProgram);
         }
@@ -85,8 +129,8 @@ impl Scheme for FullScheme {
             w.align_byte();
             let start = w.bit_len() / 8;
             block_start.push(start);
-            for op in program.block_ops(b) {
-                let sym = dict.id_of(&op.encode()).ok_or(CompressError::Integrity {
+            for word in program.block_words(b) {
+                let sym = dict.id_of(word).ok_or(CompressError::Integrity {
                     detail: "op word missing from dictionary built over the same program",
                 })?;
                 book.try_encode_into(sym, &mut w)?;
@@ -108,13 +152,10 @@ impl Scheme for FullScheme {
             decoder: DecoderCost::Huffman(vec![model]),
         };
         let codec = FullCodec {
-            tables: vec![book.lut_decoder()],
+            table: book.lut_decoder(),
             values: (0..dict.len() as u32).map(|i| *dict.value_of(i)).collect(),
         };
-        Ok(SchemeOutput {
-            image,
-            codec: Box::new(codec),
-        })
+        Ok((image, codec))
     }
 }
 

@@ -123,14 +123,11 @@ impl fmt::Debug for SchemeOutput {
 impl SchemeOutput {
     /// Decodes every block and compares with the original op words.
     pub fn verify_roundtrip(&self, program: &Program) -> bool {
-        for b in 0..program.num_blocks() {
-            let expect: Vec<u64> = program.block_ops(b).iter().map(|o| o.encode()).collect();
-            match self.codec.decode_block(&self.image, b, expect.len()) {
-                Ok(words) if words == expect => {}
-                _ => return false,
-            }
-        }
-        true
+        (0..program.num_blocks()).all(|b| {
+            let expect = program.block_words(b);
+            matches!(self.codec.decode_block(&self.image, b, expect.len()),
+                Ok(words) if words == expect)
+        })
     }
 }
 
@@ -201,37 +198,160 @@ pub trait BlockCodec: Send + Sync {
     fn dictionary_image(&self) -> Vec<u8>;
 }
 
-/// The shared shape of every Huffman block codec: a block is
-/// `num_symbols(num_ops)` codewords, codeword `i` decoded with table
-/// `table_of(i)` of `tables()`, and the symbol sequence reassembled
-/// into op words by `assemble`. The blanket [`BlockCodec`] impl below
-/// derives the whole `decode_block*` triplet from these five hooks, so
-/// the byte/stream/full/pair codecs carry no per-scheme decode loops.
+/// How a codec's block loop decodes one codeword from a table: through
+/// its LUT fast path ([`Lut`]) or through the bit-serial reference
+/// decoder embedded in it ([`Reference`]), which shares no lookup table
+/// with the LUT (the graceful-degradation path, DESIGN.md §13). Every
+/// Huffman codec's block loop is generic over this one step, so both
+/// paths run the same loop.
+pub(crate) trait Step: Copy {
+    /// Decodes one codeword with `table`, folding its effort into
+    /// `counts`.
+    fn step(
+        self,
+        table: &LutDecoder,
+        r: &mut BitReader<'_>,
+        counts: &mut DecodeCounters,
+    ) -> Result<u32, DecodeError>;
+}
+
+/// The LUT fast path: [`LutDecoder::decode_counted`].
+#[derive(Clone, Copy)]
+pub(crate) struct Lut;
+
+impl Step for Lut {
+    #[inline(always)]
+    fn step(
+        self,
+        table: &LutDecoder,
+        r: &mut BitReader<'_>,
+        counts: &mut DecodeCounters,
+    ) -> Result<u32, DecodeError> {
+        table.decode_counted(r, counts)
+    }
+}
+
+/// The bit-serial path: the table's embedded [`tinker_huffman::CanonicalDecoder`].
+#[derive(Clone, Copy)]
+pub(crate) struct Reference;
+
+impl Step for Reference {
+    #[inline]
+    fn step(
+        self,
+        table: &LutDecoder,
+        r: &mut BitReader<'_>,
+        counts: &mut DecodeCounters,
+    ) -> Result<u32, DecodeError> {
+        table.reference().decode_counted(r, counts)
+    }
+}
+
+/// The shared shape of every Huffman block codec: one block loop that
+/// decodes a block's codewords straight into its op words, generic over
+/// the [`Step`] that decodes one codeword. The blanket [`BlockCodec`]
+/// impl below derives the whole `decode_block*` triplet from it.
 ///
-/// Contract: when the first and last codewords of a block use the same
-/// table, every codeword of the block does. The derived paths then
-/// decode the whole block with one `decode_n` call.
+/// Contract, which the block loops keep and the `#[cfg(test)]` oracle
+/// (`decode_huffman_block` over `num_symbols`/`table_of`/`assemble`)
+/// checks: a corrupt or truncated codeword fails at once with
+/// [`BlockDecodeError::Code`]; a decoded symbol outside its value table
+/// fails with [`BlockDecodeError::BadValue`] only once every codeword
+/// of the block has decoded, naming the first such symbol's field.
 pub(crate) trait SymbolCodec: Send + Sync {
+    /// Decodes the `num_ops` op words of the block at `r`. Implementations
+    /// are `#[inline(always)]`: see `decode_block_with`.
+    fn decode_words<S: Step>(
+        &self,
+        step: S,
+        r: &mut BitReader<'_>,
+        num_ops: usize,
+        counts: &mut DecodeCounters,
+    ) -> Result<Vec<u64>, BlockDecodeError>;
+    /// The codec's serialized decode tables ([`BlockCodec::dictionary_image`]).
+    fn tables_image(&self) -> Vec<u8>;
+
     /// The decode tables, indexed by `table_of`.
+    #[cfg(test)]
     fn tables(&self) -> &[LutDecoder];
     /// Codewords encoding a block of `num_ops` operations.
+    #[cfg(test)]
     fn num_symbols(&self, num_ops: usize) -> usize;
     /// Table decoding codeword `i`. May name a table the codec was
     /// built without (pair without a singles book) — decoding then
     /// fails with [`BlockDecodeError::BadValue`].
+    #[cfg(test)]
     fn table_of(&self, i: usize, num_ops: usize) -> u32;
     /// Reassembles the decoded symbols into the block's op words.
+    #[cfg(test)]
     fn assemble(&self, syms: &[u32], num_ops: usize) -> Result<Vec<u64>, BlockDecodeError>;
-    /// The codec's serialized decode tables ([`BlockCodec::dictionary_image`]).
-    fn tables_image(&self) -> Vec<u8>;
 }
 
-/// The one decode loop behind every Huffman codec's `decode_block` /
-/// `decode_block_counted` / `decode_block_reference`: whole-block
-/// `decode_n` when a single table covers the block, per-symbol over
-/// `table_of` otherwise; `reference` forces the bit-serial reference
-/// decoder (the graceful-degradation path, DESIGN.md §13).
-fn decode_huffman_block<T: SymbolCodec + ?Sized>(
+/// Block `b` of `image` through the codec's block loop.
+fn decode_block_with<T: SymbolCodec, S: Step>(
+    codec: &T,
+    step: S,
+    image: &EncodedProgram,
+    b: usize,
+    num_ops: usize,
+    counts: &mut DecodeCounters,
+) -> Result<Vec<u64>, BlockDecodeError> {
+    // The reader and the counters are locals of this frame, into which
+    // the block loop is inlined, so they stay in registers.
+    let mut r = BitReader::at_bit(&image.bytes, image.block_start[b] * 8);
+    let mut spent = DecodeCounters::default();
+    let words = codec.decode_words(step, &mut r, num_ops, &mut spent);
+    counts.merge(&spent);
+    words
+}
+
+impl<T: SymbolCodec> BlockCodec for T {
+    fn decode_block(
+        &self,
+        image: &EncodedProgram,
+        b: usize,
+        num_ops: usize,
+    ) -> Result<Vec<u64>, BlockDecodeError> {
+        decode_block_with(self, Lut, image, b, num_ops, &mut DecodeCounters::default())
+    }
+
+    fn decode_block_counted(
+        &self,
+        image: &EncodedProgram,
+        b: usize,
+        num_ops: usize,
+        counts: &mut DecodeCounters,
+    ) -> Result<Vec<u64>, BlockDecodeError> {
+        decode_block_with(self, Lut, image, b, num_ops, counts)
+    }
+
+    fn decode_block_reference(
+        &self,
+        image: &EncodedProgram,
+        b: usize,
+        num_ops: usize,
+    ) -> Result<Vec<u64>, BlockDecodeError> {
+        decode_block_with(
+            self,
+            Reference,
+            image,
+            b,
+            num_ops,
+            &mut DecodeCounters::default(),
+        )
+    }
+
+    fn dictionary_image(&self) -> Vec<u8> {
+        self.tables_image()
+    }
+}
+
+/// The per-symbol decode loop the block loops replaced, kept as their
+/// test oracle: whole-block `decode_n` when a single table covers the
+/// block, per-symbol over `table_of` otherwise, then `assemble`;
+/// `reference` forces the bit-serial reference decoder.
+#[cfg(test)]
+pub(crate) fn decode_huffman_block<T: SymbolCodec + ?Sized>(
     codec: &T,
     image: &EncodedProgram,
     b: usize,
@@ -268,54 +388,6 @@ fn decode_huffman_block<T: SymbolCodec + ?Sized>(
         syms
     };
     codec.assemble(&syms, num_ops)
-}
-
-impl<T: SymbolCodec> BlockCodec for T {
-    fn decode_block(
-        &self,
-        image: &EncodedProgram,
-        b: usize,
-        num_ops: usize,
-    ) -> Result<Vec<u64>, BlockDecodeError> {
-        decode_huffman_block(
-            self,
-            image,
-            b,
-            num_ops,
-            &mut DecodeCounters::default(),
-            false,
-        )
-    }
-
-    fn decode_block_counted(
-        &self,
-        image: &EncodedProgram,
-        b: usize,
-        num_ops: usize,
-        counts: &mut DecodeCounters,
-    ) -> Result<Vec<u64>, BlockDecodeError> {
-        decode_huffman_block(self, image, b, num_ops, counts, false)
-    }
-
-    fn decode_block_reference(
-        &self,
-        image: &EncodedProgram,
-        b: usize,
-        num_ops: usize,
-    ) -> Result<Vec<u64>, BlockDecodeError> {
-        decode_huffman_block(
-            self,
-            image,
-            b,
-            num_ops,
-            &mut DecodeCounters::default(),
-            true,
-        )
-    }
-
-    fn dictionary_image(&self) -> Vec<u8> {
-        self.tables_image()
-    }
 }
 
 /// A compression scheme.
@@ -448,6 +520,7 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tepic_isa::Program;
 
     #[test]
     fn standard_lineup_matches_figure5() {
@@ -505,6 +578,120 @@ mod tests {
                 "{} tiny round trip failed",
                 scheme.name()
             );
+        }
+    }
+
+    /// The image clean, with 1–8 bits flipped, and cut short, chosen
+    /// by `seed`.
+    fn corruptions(image: &EncodedProgram, seed: u64) -> Vec<EncodedProgram> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut flipped = image.clone();
+        let bits = image.bytes.len() as u64 * 8;
+        for _ in 0..1 + next() % 8 {
+            let bit = next() % bits;
+            flipped.bytes[(bit / 8) as usize] ^= 0x80 >> (bit % 8);
+        }
+        let mut cut = image.clone();
+        cut.bytes
+            .truncate((next() % image.bytes.len() as u64) as usize);
+        vec![image.clone(), flipped, cut]
+    }
+
+    /// Every block of `image`, at its own length and one op shorter and
+    /// longer, through the codec's block loop and through the per-symbol
+    /// oracle, on both paths: the same `Result` (words or the same
+    /// `BlockDecodeError`), and on the LUT path the same counters.
+    fn assert_loop_matches_oracle<T: SymbolCodec>(
+        what: &str,
+        codec: &T,
+        image: &EncodedProgram,
+        program: &Program,
+    ) -> Result<(), proptest::TestCaseError> {
+        use proptest::prop_assert_eq;
+        for (b, info) in program.blocks().iter().enumerate() {
+            let n = info.num_ops;
+            for num_ops in [n, n - 1, n + 1] {
+                let mut got_counts = DecodeCounters::default();
+                let got = codec.decode_block_counted(image, b, num_ops, &mut got_counts);
+                let mut want_counts = DecodeCounters::default();
+                let want = decode_huffman_block(codec, image, b, num_ops, &mut want_counts, false);
+                prop_assert_eq!(&got, &want, "{} block {} x{} (LUT)", what, b, num_ops);
+                prop_assert_eq!(got_counts, want_counts, "{} block {} counters", what, b);
+                let got = codec.decode_block_reference(image, b, num_ops);
+                let mut discarded = DecodeCounters::default();
+                let want = decode_huffman_block(codec, image, b, num_ops, &mut discarded, true);
+                prop_assert_eq!(&got, &want, "{} block {} x{} (reference)", what, b, num_ops);
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+
+        /// The block loops against the per-symbol oracle, for every
+        /// Huffman scheme of `by_name` (byte, full, pair with and
+        /// without a singles book, the six stream configurations), on
+        /// generated Tink programs, clean, bit-flipped and truncated.
+        /// Codecs with a value table cut short make symbols decode to
+        /// `BadValue`, so the loops' error order is checked too.
+        #[test]
+        fn block_loops_match_the_per_symbol_oracle(seed in proptest::prelude::any::<u64>()) {
+            let params = ccc_workgen::GenParams::for_flavor(ccc_workgen::Flavor::Foreign);
+            let source = ccc_workgen::generate_program(seed, &params, "differential").source;
+            let p = lego::compile(&source, &lego::Options::default()).expect("generated program compiles");
+            let (image, codec) = byte::ByteScheme::default().build(&p).unwrap();
+            for (k, img) in corruptions(&image, seed).iter().enumerate() {
+                assert_loop_matches_oracle(&format!("byte/{k}"), &codec, img, &p)?;
+            }
+            let (image, codec) = full::FullScheme::default().build(&p).unwrap();
+            let mut short = full::FullCodec {
+                table: codec.table.clone(),
+                values: codec.values.clone(),
+            };
+            short.values.truncate(codec.values.len() / 2);
+            for (k, img) in corruptions(&image, seed).iter().enumerate() {
+                assert_loop_matches_oracle(&format!("full/{k}"), &codec, img, &p)?;
+                assert_loop_matches_oracle(&format!("full-short/{k}"), &short, img, &p)?;
+            }
+            let (image, codec) = pair::PairScheme::default().build(&p).unwrap();
+            let no_singles = pair::PairCodec {
+                tables: codec.tables[..1].to_vec(),
+                pair_values: codec.pair_values.clone(),
+                single_values: Vec::new(),
+            };
+            let mut short = pair::PairCodec {
+                tables: codec.tables.clone(),
+                pair_values: codec.pair_values.clone(),
+                single_values: codec.single_values.clone(),
+            };
+            short.pair_values.truncate(codec.pair_values.len() / 2);
+            short.single_values.truncate(codec.single_values.len() / 2);
+            for (k, img) in corruptions(&image, seed).iter().enumerate() {
+                assert_loop_matches_oracle(&format!("pair/{k}"), &codec, img, &p)?;
+                assert_loop_matches_oracle(&format!("pair-no-singles/{k}"), &no_singles, img, &p)?;
+                assert_loop_matches_oracle(&format!("pair-short/{k}"), &short, img, &p)?;
+            }
+            for config in &stream::StreamConfig::ALL {
+                let (image, codec) = stream::StreamScheme::with_config(config).build(&p).unwrap();
+                let mut short = stream::StreamCodec {
+                    config: codec.config,
+                    tables: codec.tables.clone(),
+                    values: codec.values.clone(),
+                };
+                let si = seed as usize % config.num_streams();
+                short.values[si].truncate(codec.values[si].len() / 2);
+                for (k, img) in corruptions(&image, seed).iter().enumerate() {
+                    assert_loop_matches_oracle(&format!("{}/{k}", config.name), &codec, img, &p)?;
+                    assert_loop_matches_oracle(&format!("{}-short/{k}", config.name), &short, img, &p)?;
+                }
+            }
         }
     }
 

@@ -10,10 +10,12 @@
 //! roughly squares. The `ext_entropy_limit` experiment quantifies both
 //! sides.
 
-use super::{BlockDecodeError, CompressError, Scheme, SchemeOutput, SymbolCodec};
+use super::{BlockDecodeError, CompressError, Scheme, SchemeOutput, Step, SymbolCodec};
 use crate::encoded::{DecoderCost, EncodedProgram, SchemeKind};
 use tepic_isa::{Program, OP_BITS};
-use tinker_huffman::{BitWriter, CodeBook, DecoderComplexity, Dictionary, LutDecoder};
+use tinker_huffman::{
+    BitReader, BitWriter, CodeBook, DecodeCounters, DecoderComplexity, Dictionary, LutDecoder,
+};
 
 /// Whole-op-pair Huffman scheme.
 #[derive(Debug, Clone, Copy)]
@@ -28,27 +30,85 @@ impl Default for PairScheme {
     }
 }
 
-struct PairCodec {
+pub(crate) struct PairCodec {
     /// Table 0 decodes pairs; table 1 (absent when no block has an odd
     /// length) decodes the trailing single.
-    tables: Vec<LutDecoder>,
-    pair_values: Vec<(u64, u64)>,
-    single_values: Vec<u64>,
+    pub(crate) tables: Vec<LutDecoder>,
+    pub(crate) pair_values: Vec<(u64, u64)>,
+    pub(crate) single_values: Vec<u64>,
 }
 
 impl SymbolCodec for PairCodec {
+    /// Two words per pair code, then the trailing single's code.
+    #[inline(always)]
+    fn decode_words<S: Step>(
+        &self,
+        step: S,
+        r: &mut BitReader<'_>,
+        num_ops: usize,
+        counts: &mut DecodeCounters,
+    ) -> Result<Vec<u64>, BlockDecodeError> {
+        let mut out = Vec::with_capacity(num_ops);
+        let mut bad = None;
+        let pairs = &self.tables[0];
+        for _ in 0..num_ops / 2 {
+            let sym = step.step(pairs, r, counts)?;
+            match self.pair_values.get(sym as usize) {
+                Some(&(a, c)) => out.extend([a, c]),
+                None => {
+                    bad.get_or_insert("pair symbol");
+                }
+            }
+        }
+        if num_ops % 2 == 1 {
+            let singles = self.tables.get(1).ok_or(BlockDecodeError::BadValue {
+                field: "decode table",
+            })?;
+            let sym = step.step(singles, r, counts)?;
+            match self.single_values.get(sym as usize) {
+                Some(&v) => out.push(v),
+                None => {
+                    bad.get_or_insert("single symbol");
+                }
+            }
+        }
+        match bad {
+            Some(field) => Err(BlockDecodeError::BadValue { field }),
+            None => Ok(out),
+        }
+    }
+
+    fn tables_image(&self) -> Vec<u8> {
+        let mut img = self.tables[0].table_image();
+        for (a, c) in &self.pair_values {
+            img.extend_from_slice(&a.to_le_bytes());
+            img.extend_from_slice(&c.to_le_bytes());
+        }
+        if let Some(dec) = self.tables.get(1) {
+            img.extend_from_slice(&dec.table_image());
+            for v in &self.single_values {
+                img.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        img
+    }
+
+    #[cfg(test)]
     fn tables(&self) -> &[LutDecoder] {
         &self.tables
     }
 
+    #[cfg(test)]
     fn num_symbols(&self, num_ops: usize) -> usize {
         num_ops / 2 + num_ops % 2
     }
 
+    #[cfg(test)]
     fn table_of(&self, i: usize, num_ops: usize) -> u32 {
         u32::from(i >= num_ops / 2)
     }
 
+    #[cfg(test)]
     fn assemble(&self, syms: &[u32], num_ops: usize) -> Result<Vec<u64>, BlockDecodeError> {
         let pairs = num_ops / 2;
         let mut out = Vec::with_capacity(num_ops);
@@ -75,21 +135,6 @@ impl SymbolCodec for PairCodec {
         }
         Ok(out)
     }
-
-    fn tables_image(&self) -> Vec<u8> {
-        let mut img = self.tables[0].table_image();
-        for (a, c) in &self.pair_values {
-            img.extend_from_slice(&a.to_le_bytes());
-            img.extend_from_slice(&c.to_le_bytes());
-        }
-        if let Some(dec) = self.tables.get(1) {
-            img.extend_from_slice(&dec.table_image());
-            for v in &self.single_values {
-                img.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        img
-    }
 }
 
 impl Scheme for PairScheme {
@@ -98,6 +143,20 @@ impl Scheme for PairScheme {
     }
 
     fn compress(&self, program: &Program) -> Result<SchemeOutput, CompressError> {
+        let (image, codec) = self.build(program)?;
+        Ok(SchemeOutput {
+            image,
+            codec: Box::new(codec),
+        })
+    }
+}
+
+impl PairScheme {
+    /// Compresses `program` into its image and its concrete codec.
+    pub(crate) fn build(
+        &self,
+        program: &Program,
+    ) -> Result<(EncodedProgram, PairCodec), CompressError> {
         if program.num_ops() == 0 {
             return Err(CompressError::EmptyProgram);
         }
@@ -106,7 +165,7 @@ impl Scheme for PairScheme {
         let mut pairs: Dictionary<(u64, u64)> = Dictionary::new();
         let mut singles: Dictionary<u64> = Dictionary::new();
         for b in 0..program.num_blocks() {
-            let words: Vec<u64> = program.block_ops(b).iter().map(|o| o.encode()).collect();
+            let words = program.block_words(b);
             let mut i = 0;
             while i + 1 < words.len() {
                 pairs.record((words[i], words[i + 1]));
@@ -133,7 +192,7 @@ impl Scheme for PairScheme {
             w.align_byte();
             let start = w.bit_len() / 8;
             block_start.push(start);
-            let words: Vec<u64> = program.block_ops(b).iter().map(|o| o.encode()).collect();
+            let words = program.block_words(b);
             let mut i = 0;
             while i + 1 < words.len() {
                 let sym =
@@ -188,10 +247,7 @@ impl Scheme for PairScheme {
                 .map(|i| *singles.value_of(i))
                 .collect(),
         };
-        Ok(SchemeOutput {
-            image,
-            codec: Box::new(codec),
-        })
+        Ok((image, codec))
     }
 }
 

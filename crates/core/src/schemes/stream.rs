@@ -14,10 +14,12 @@
 //! 20-bit halves → smallest code) called out by name as in Figure 5;
 //! `stream_explorer` in `ccc-bench` reproduces the selection.
 
-use super::{BlockDecodeError, CompressError, Scheme, SchemeOutput, SymbolCodec};
+use super::{BlockDecodeError, CompressError, Scheme, SchemeOutput, Step, SymbolCodec};
 use crate::encoded::{DecoderCost, EncodedProgram, SchemeKind};
 use tepic_isa::Program;
-use tinker_huffman::{BitWriter, CodeBook, DecoderComplexity, Dictionary, LutDecoder};
+use tinker_huffman::{
+    BitReader, BitWriter, CodeBook, DecodeCounters, DecoderComplexity, Dictionary, LutDecoder,
+};
 
 /// A stream configuration: cut points over the 40-bit word. `cuts` must
 /// start at 0, end at 40, and be strictly increasing.
@@ -128,27 +130,75 @@ fn field(word: u64, off: u32, width: u32) -> u64 {
     (word >> off) & ((1u64 << width) - 1)
 }
 
-struct StreamCodec {
-    config: &'static StreamConfig,
+pub(crate) struct StreamCodec {
+    pub(crate) config: &'static StreamConfig,
     /// One table per field stream, visited in stream order: an op is
     /// `num_streams` consecutive codewords.
-    tables: Vec<LutDecoder>,
-    values: Vec<Vec<u64>>, // per stream: symbol id → field value
+    pub(crate) tables: Vec<LutDecoder>,
+    pub(crate) values: Vec<Vec<u64>>, // per stream: symbol id → field value
 }
 
 impl SymbolCodec for StreamCodec {
+    /// `num_streams` codes per word, each value OR'd in at its stream's
+    /// offset.
+    #[inline(always)]
+    fn decode_words<S: Step>(
+        &self,
+        step: S,
+        r: &mut BitReader<'_>,
+        num_ops: usize,
+        counts: &mut DecodeCounters,
+    ) -> Result<Vec<u64>, BlockDecodeError> {
+        let mut out = Vec::with_capacity(num_ops);
+        let mut bad = false;
+        for _ in 0..num_ops {
+            let mut word = 0u64;
+            for ((table, values), &off) in
+                self.tables.iter().zip(&self.values).zip(self.config.cuts)
+            {
+                let sym = step.step(table, r, counts)?;
+                match values.get(sym as usize) {
+                    Some(&v) => word |= v << off,
+                    None => bad = true,
+                }
+            }
+            out.push(word);
+        }
+        if bad {
+            return Err(BlockDecodeError::BadValue {
+                field: "stream symbol",
+            });
+        }
+        Ok(out)
+    }
+
+    fn tables_image(&self) -> Vec<u8> {
+        let mut img = Vec::new();
+        for (si, values) in self.values.iter().enumerate() {
+            img.extend_from_slice(&self.tables[si].table_image());
+            for v in values {
+                img.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        img
+    }
+
+    #[cfg(test)]
     fn tables(&self) -> &[LutDecoder] {
         &self.tables
     }
 
+    #[cfg(test)]
     fn num_symbols(&self, num_ops: usize) -> usize {
         num_ops * self.config.num_streams()
     }
 
+    #[cfg(test)]
     fn table_of(&self, i: usize, _num_ops: usize) -> u32 {
         (i % self.config.num_streams()) as u32
     }
 
+    #[cfg(test)]
     fn assemble(&self, syms: &[u32], num_ops: usize) -> Result<Vec<u64>, BlockDecodeError> {
         let ns = self.config.num_streams();
         let mut out = Vec::with_capacity(num_ops);
@@ -167,17 +217,6 @@ impl SymbolCodec for StreamCodec {
         }
         Ok(out)
     }
-
-    fn tables_image(&self) -> Vec<u8> {
-        let mut img = Vec::new();
-        for (si, values) in self.values.iter().enumerate() {
-            img.extend_from_slice(&self.tables[si].table_image());
-            for v in values {
-                img.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        img
-    }
 }
 
 impl Scheme for StreamScheme {
@@ -186,6 +225,20 @@ impl Scheme for StreamScheme {
     }
 
     fn compress(&self, program: &Program) -> Result<SchemeOutput, CompressError> {
+        let (image, codec) = self.build(program)?;
+        Ok(SchemeOutput {
+            image,
+            codec: Box::new(codec),
+        })
+    }
+}
+
+impl StreamScheme {
+    /// Compresses `program` into its image and its concrete codec.
+    pub(crate) fn build(
+        &self,
+        program: &Program,
+    ) -> Result<(EncodedProgram, StreamCodec), CompressError> {
         if program.num_ops() == 0 {
             return Err(CompressError::EmptyProgram);
         }
@@ -217,8 +270,7 @@ impl Scheme for StreamScheme {
             wtr.align_byte();
             let start = wtr.bit_len() / 8;
             block_start.push(start);
-            for op in program.block_ops(b) {
-                let w = op.encode();
+            for &w in program.block_words(b) {
                 for (si, book) in books.iter().enumerate() {
                     let (off, width) = self.config.stream_bits(si);
                     let sym =
@@ -258,10 +310,7 @@ impl Scheme for StreamScheme {
                 .map(|d| (0..d.len() as u32).map(|i| *d.value_of(i)).collect())
                 .collect(),
         };
-        Ok(SchemeOutput {
-            image,
-            codec: Box::new(codec),
-        })
+        Ok((image, codec))
     }
 }
 

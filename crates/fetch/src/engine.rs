@@ -442,8 +442,8 @@ fn decode_block_healed(
             stats.ops_decoded += words.len() as u64;
             let ok = words
                 .iter()
-                .zip(program.block_ops(block))
-                .all(|(&w, op)| w == op.encode());
+                .zip(program.block_words(block))
+                .all(|(w, want)| w == want);
             if !ok || words.len() != num_ops {
                 stats.decode_errors += 1;
             }

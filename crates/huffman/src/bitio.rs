@@ -160,6 +160,25 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// [`BitReader::peek`] for a table index: `n` must be in `1..=64`,
+    /// which spares the zero-width case its branch.
+    #[inline]
+    pub(crate) fn peek_index(&self, n: u32) -> usize {
+        debug_assert!((1..=64).contains(&n));
+        (self.acc >> (64 - n)) as usize
+    }
+
+    /// [`BitReader::consume`] for one codeword: `n` must be below 64
+    /// and at most [`BitReader::available`], which spares the
+    /// whole-accumulator case its branch.
+    #[inline]
+    pub(crate) fn consume_code(&mut self, n: u32) {
+        debug_assert!(n < 64 && n <= self.acc_bits);
+        self.pos += n as u64;
+        self.acc <<= n;
+        self.acc_bits -= n;
+    }
+
     /// Consumes `n` buffered bits (`n` must be `<= available()`).
     #[inline]
     pub fn consume(&mut self, n: u32) {

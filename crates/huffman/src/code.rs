@@ -192,7 +192,7 @@ impl CodeBook {
         crate::decode::CanonicalDecoder::new(self)
     }
 
-    /// Builds the two-level lookup-table decoder for this book — the
+    /// Builds the lookup-table decoder for this book — the
     /// fast kernel, observationally identical to [`CodeBook::decoder`].
     pub fn lut_decoder(&self) -> crate::lut::LutDecoder {
         crate::lut::LutDecoder::new(self)

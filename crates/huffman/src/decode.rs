@@ -230,8 +230,8 @@ impl CanonicalDecoder {
     /// Walks the reference decode loop over the top `nbits` bits of
     /// `prefix` without touching a reader — exactly the branch sequence
     /// [`CanonicalDecoder::decode`] takes, so [`crate::lut::LutDecoder`]
-    /// can precompute the outcome (symbol, error and its depth) for
-    /// every possible table index.
+    /// can precompute the outcome (an error and its depth) for every
+    /// table index that no code covers.
     pub(crate) fn classify_prefix(&self, prefix: u64, nbits: u32) -> PrefixClass {
         let mut code = 0u64;
         for l in 1..=self.max_len as u32 {
@@ -257,6 +257,23 @@ impl CanonicalDecoder {
         PrefixClass::Overflow {
             depth: self.max_len,
         }
+    }
+
+    /// The symbols coded with length `l`, in canonical order: their
+    /// codes are consecutive values starting at `first_code[l]`, so
+    /// [`crate::lut::LutDecoder`] fills its table from them in order.
+    pub(crate) fn symbols_of_len(&self, l: usize) -> &[u32] {
+        let start = self.first_index[l];
+        &self.symbols[start..start + self.count[l]]
+    }
+
+    /// The deepest code of the book: its length and value. Every prefix
+    /// up to this code's projection either is a code or extends to one.
+    pub(crate) fn deepest_code(&self) -> Option<(u8, u64)> {
+        (1..=self.max_len as usize)
+            .rev()
+            .find(|&l| self.count[l] > 0)
+            .map(|l| (l as u8, self.first_code[l] + self.count[l] as u64 - 1))
     }
 
     /// Decodes exactly `n` symbols, failing on the first corrupt or

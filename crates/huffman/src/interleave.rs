@@ -6,7 +6,7 @@
 //! tables. [`InterleavedDecoder::new`] stays only because the repo
 //! benchmark's `decode.table_build_ms` layer times it.
 
-use crate::lut::LutDecoder;
+use crate::lut::{hit, LutDecoder};
 
 /// A set of [`LutDecoder`] tables re-packed into one shared first
 /// level plus a multi-symbol level per table.
@@ -65,7 +65,7 @@ impl InterleavedDecoder {
             let lut_bits = tab.lut_bits();
             let wmax_code = entries
                 .iter()
-                .map(|e| e.packed() & 0xFF)
+                .map(|&e| hit(e) & 0xFF)
                 .max()
                 .unwrap_or(0)
                 .max(1);
@@ -89,7 +89,7 @@ impl InterleavedDecoder {
             bits.push(w);
             // The entry at each narrowed index is the unique code whose
             // top bits match the narrow peek (len ≤ w by choice of w).
-            packed.extend((0..1usize << w).map(|j| entries[j << shift].packed()));
+            packed.extend((0..1usize << w).map(|j| hit(entries[j << shift])));
             complete.push(packed[start..].iter().all(|&e| e & 0xFF != 0));
         }
         // Second pass: a multi-symbol level per table, always at a

@@ -104,6 +104,9 @@ impl std::error::Error for ProgramError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     ops: Vec<Operation>,
+    /// `ops` encoded, once, at construction: the words every encoder
+    /// compresses and every decode is checked against.
+    words: Vec<u64>,
     blocks: Vec<BlockInfo>,
     funcs: Vec<FuncInfo>,
     entry: BlockId,
@@ -127,8 +130,10 @@ impl Program {
         data: Vec<u8>,
         data_base: u32,
     ) -> Result<Program, ProgramError> {
+        let words = ops.iter().map(Operation::encode).collect();
         let p = Program {
             ops,
+            words,
             blocks,
             funcs,
             entry,
@@ -285,16 +290,27 @@ impl Program {
         (start, start + (info.num_ops * OP_BYTES) as u64)
     }
 
-    /// The raw 40-bit words of the whole code segment, in layout order.
+    /// The 40-bit words of block `b`'s operations, encoded once when
+    /// the program was built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is out of range.
+    pub fn block_words(&self, b: BlockId) -> &[u64] {
+        let info = &self.blocks[b];
+        &self.words[info.first_op..info.first_op + info.num_ops]
+    }
+
+    /// The raw 40-bit words of the whole code segment, in layout order
+    /// (a copy of the words encoded at construction).
     pub fn op_words(&self) -> Vec<u64> {
-        self.ops.iter().map(Operation::encode).collect()
+        self.words.clone()
     }
 
     /// The uncompressed code segment bytes (5 bytes per op, little-endian).
     pub fn code_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.ops.len() * OP_BYTES);
-        for op in &self.ops {
-            let w = op.encode();
+        let mut out = Vec::with_capacity(self.words.len() * OP_BYTES);
+        for w in &self.words {
             out.extend_from_slice(&w.to_le_bytes()[..OP_BYTES]);
         }
         out

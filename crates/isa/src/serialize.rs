@@ -173,6 +173,55 @@ mod tests {
         assert_eq!(p, q);
     }
 
+    /// The words a program encodes once at construction are each op's
+    /// `encode`, block by block and whole, and survive the wire round
+    /// trip unchanged.
+    #[test]
+    fn block_words_are_each_ops_encoding_across_the_wire() {
+        let mut programs = vec![sample()];
+        for w in &tinker_workloads::ALL {
+            // The workloads build this crate's non-test copy, so the
+            // program is rebuilt here from its words and tables.
+            let q = w.compile().expect("paper program compiles");
+            let ops = q
+                .op_words()
+                .into_iter()
+                .map(|w| Operation::decode(w).unwrap());
+            let blocks = q.blocks().iter().map(|b| BlockInfo {
+                first_op: b.first_op,
+                num_ops: b.num_ops,
+                num_mops: b.num_mops,
+                func: b.func,
+            });
+            let funcs = q.funcs().iter().map(|f| FuncInfo {
+                name: f.name.clone(),
+                first_block: f.first_block,
+                num_blocks: f.num_blocks,
+            });
+            let p = Program::new(
+                ops.collect(),
+                blocks.collect(),
+                funcs.collect(),
+                q.entry(),
+                q.data().to_vec(),
+                q.data_base(),
+            );
+            programs.push(p.expect("paper program rebuilds"));
+        }
+        for p in programs {
+            let again = program_from_bytes(&program_to_bytes(&p)).unwrap();
+            let mut all = Vec::new();
+            for b in 0..p.num_blocks() {
+                let want: Vec<u64> = p.block_ops(b).iter().map(Operation::encode).collect();
+                assert_eq!(p.block_words(b), want, "block {b}");
+                assert_eq!(again.block_words(b), want, "block {b} after the wire");
+                all.extend(want);
+            }
+            assert_eq!(p.op_words(), all);
+            assert_eq!(again.op_words(), all);
+        }
+    }
+
     #[test]
     fn truncation_detected() {
         let bytes = program_to_bytes(&sample());
